@@ -19,10 +19,10 @@ into a *static analysis with a soundness argument*:
   depth, not only asymptotically.
 
 The same module provides the concrete single-depth path
-(:func:`static_bounds`): desugar, rewrite with the preset's own IR
-optimizer, and run the exact cost model — the number the fuzz oracle and
-the ``analyze`` pass stage compare against compiled circuits, which it
-must equal gate-for-gate.
+(:func:`static_bounds`): desugar, rewrite with the preset's own IR passes
+(through the pass manager's group executor), and run the exact cost model
+— the number the fuzz oracle and the ``analyze`` pass stage compare
+against compiled circuits, which it must equal gate-for-gate.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from ..ir import core
 from ..ir.typecheck import infer_types
 from ..lang import ast
 from ..lang.desugar import lower_entry
-from ..opt import OPTIMIZATIONS
+from ..passes import apply_ir_passes, is_preset, resolve_pipeline
 from ..types import Type, TypeTable
 from .dataflow import CallGraph
 
@@ -81,10 +81,15 @@ def static_bounds(
     bound of its own rewrite.  Equals the compiled circuit's counts
     exactly.
     """
-    if preset not in OPTIMIZATIONS:
+    if not is_preset(preset):
         raise AnalysisError(f"unknown optimization preset {preset!r}")
     lowered = lower_entry(program, entry, size, config)
-    stmt = OPTIMIZATIONS[preset](lowered.stmt)
+    stmt = apply_ir_passes(
+        resolve_pipeline(preset),
+        lowered.stmt,
+        lowered.table,
+        lowered.param_types,
+    )
     return counts_for_stmt(stmt, lowered.table, lowered.param_types)
 
 
@@ -343,7 +348,7 @@ def symbolic_cost(
     stabilize at its structural degree bound — that would falsify the
     degree argument, not merely widen a constant.
     """
-    if preset not in OPTIMIZATIONS:
+    if not is_preset(preset):
         raise AnalysisError(f"unknown optimization preset {preset!r}")
     graph = CallGraph(program)
     entry_fdef = program.fun(entry)

@@ -33,7 +33,7 @@ from ..circuit.circuit import Circuit
 from ..circuit.decompose import DecompositionCache
 from ..compiler.pipeline import CompiledProgram, compile_program
 from ..config import DEFAULT, CompilerConfig
-from ..passes.manager import PassManager
+from ..passes.manager import PassManager, PassRecord
 from ..passes.pipeline import canonical_pipeline, resolve_pipeline
 from ..cost.asymptotics import FitReport, fit_report
 from ..cost.exact import exact_counts
@@ -47,8 +47,11 @@ from .programs import ENTRIES, SOURCES, UNSIZED, get_entry, get_source, is_unsiz
 class BenchmarkPoint:
     """Measurements of one benchmark at one depth and optimization level.
 
-    ``compile_seconds`` is the sum of the cold compile's stage timings and
-    is only ever measured once per point; ``wall_seconds`` is the wall
+    ``timings`` maps ``typecheck`` and each executed pass (by
+    :class:`~repro.passes.PassRecord` name, repeated passes summed) to
+    seconds; ``compile_seconds`` is their sum, measured only once per
+    point (a prefix replay adds the replayed passes to the stored
+    prefix's timings).  ``wall_seconds`` is the wall
     clock of *this* :meth:`BenchmarkRunner.measure` call.  When ``cached``
     is true the compile work did not happen in this call (in-memory memo
     or artifact-cache hit) and the two may differ by orders of magnitude —
@@ -77,6 +80,37 @@ class BenchmarkPoint:
     def row(self) -> Dict[str, Any]:
         """The point as a JSON-ready measurement row."""
         return asdict(self)
+
+
+def _point(
+    name: str,
+    depth: Optional[int],
+    optimization: str,
+    circuit: Circuit,
+    timings: Dict[str, float],
+    records: Sequence[PassRecord],
+    **fields: Any,
+) -> BenchmarkPoint:
+    """The measure row of ``circuit``: its counts and compile time.
+
+    ``timings`` (the type check and any passes already replayed) is
+    extended by one entry per record, keyed by pass name; a pass the
+    pipeline runs twice adds up.  ``compile_seconds`` is the sum.
+    """
+    timings = dict(timings)
+    for record in records:
+        timings[record.name] = timings.get(record.name, 0.0) + record.seconds
+    return BenchmarkPoint(
+        name=name,
+        depth=depth,
+        optimization=optimization,
+        mcx=circuit.mcx_complexity(),
+        t=circuit.t_complexity(),
+        qubits=circuit.num_qubits,
+        compile_seconds=sum(timings.values()),
+        timings=timings,
+        **fields,
+    )
 
 
 @dataclass
@@ -254,19 +288,17 @@ class BenchmarkRunner:
         compiled = self.compile(name, depth, optimization)
         model = PaperCostModel(compiled.table, compiled.var_types, compiled.cell_bits)
         report = model.report(compiled.core)
-        point = BenchmarkPoint(
-            name=name,
-            depth=depth,
-            optimization=optimization,
-            mcx=compiled.mcx_complexity(),
-            t=compiled.t_complexity(),
-            qubits=compiled.num_qubits(),
-            compile_seconds=sum(compiled.timings.values()),
+        point = _point(
+            name,
+            depth,
+            optimization,
+            compiled.circuit,
+            {"typecheck": compiled.typecheck_seconds},
+            compiled.pass_records,
             predicted_mcx=report.mcx,
             predicted_t=report.t,
             wall_seconds=time.perf_counter() - start,
             cached=not cold,
-            timings=dict(compiled.timings),
             pipeline=spec,
         )
         if cache_key is not None:
@@ -304,22 +336,16 @@ class BenchmarkRunner:
             final, records, snapshots = manager.run_gate_suffix(
                 circuit, start=len(prefix.passes)
             )
-            timings = dict(prow.get("timings", {}))
-            timings.update({f"opt:{r.name}": r.seconds for r in records})
-            point = BenchmarkPoint(
-                name=name,
-                depth=depth,
-                optimization=optimization,
-                mcx=final.mcx_complexity(),
-                t=final.t_complexity(),
-                qubits=final.num_qubits,
-                compile_seconds=prow["compile_seconds"]
-                + sum(r.seconds for r in records),
+            point = _point(
+                name,
+                depth,
+                optimization,
+                final,
+                prow["timings"],
+                records,
                 predicted_mcx=prow["predicted_mcx"],
                 predicted_t=prow["predicted_t"],
                 wall_seconds=time.perf_counter() - start,
-                cached=False,
-                timings=timings,
                 pipeline=pipeline.spec(),
                 prefix_cached=prefix_spec,
             )
@@ -333,25 +359,17 @@ class BenchmarkRunner:
                 # synthesize the intermediate prefix's measure row too, so
                 # an even-longer pipeline later resumes from *this* cut
                 # point instead of re-running the suffix from `prefix`
-                snap_timings = dict(prow.get("timings", {}))
-                snap_timings.update(
-                    {f"opt:{r.name}": r.seconds for r in records[: j + 1]}
-                )
                 self.cache.store_point(
                     snap_key,
-                    BenchmarkPoint(
-                        name=name,
-                        depth=depth,
-                        optimization=snap_spec,
-                        mcx=snap_circuit.mcx_complexity(),
-                        t=snap_circuit.t_complexity(),
-                        qubits=snap_circuit.num_qubits,
-                        compile_seconds=prow["compile_seconds"]
-                        + sum(r.seconds for r in records[: j + 1]),
+                    _point(
+                        name,
+                        depth,
+                        snap_spec,
+                        snap_circuit,
+                        prow["timings"],
+                        records[: j + 1],
                         predicted_mcx=prow["predicted_mcx"],
                         predicted_t=prow["predicted_t"],
-                        cached=False,
-                        timings=snap_timings,
                         pipeline=snap_spec,
                         prefix_cached=prefix_spec,
                     ).row(),
@@ -375,32 +393,23 @@ class BenchmarkRunner:
         """
         if not compiled.snapshots:
             return
-        legacy = {
-            k: v
-            for k, v in compiled.timings.items()
-            if not k.startswith("opt:")
-        }
-        gate_records = [r for r in compiled.pass_records if r.stage == "gates"]
+        records = compiled.pass_records
+        # snapshot i follows `lower` and the first i gate passes, and
+        # gate-pass records come last
+        before_gates = sum(r.stage != "gates" for r in records)
         for i, (snap_spec, snap_circuit) in enumerate(compiled.snapshots):
             if snap_spec == compiled.pipeline:
                 continue  # the full artifact is stored by the caller
             key = self._prefix_key(name, depth, snap_spec)
-            timings = dict(legacy)
-            timings.update(
-                {f"opt:{r.name}": r.seconds for r in gate_records[:i]}
-            )
-            row = BenchmarkPoint(
-                name=name,
-                depth=depth,
-                optimization=snap_spec,
-                mcx=snap_circuit.mcx_complexity(),
-                t=snap_circuit.t_complexity(),
-                qubits=snap_circuit.num_qubits,
-                compile_seconds=sum(timings.values()),
+            row = _point(
+                name,
+                depth,
+                snap_spec,
+                snap_circuit,
+                {"typecheck": compiled.typecheck_seconds},
+                records[: before_gates + i],
                 predicted_mcx=point.predicted_mcx,
                 predicted_t=point.predicted_t,
-                cached=False,
-                timings=timings,
                 pipeline=snap_spec,
             ).row()
             self.cache.store_point(key, row)

@@ -21,12 +21,10 @@ circuit's history:
 
 :func:`fold_phases` drives the sweep from the packed arrays of
 :class:`~repro.circuit.gatestream.GateStream` — gate dispatch is an integer
-compare instead of enum identity plus set membership — and materializes the
-placeholders in one batched finalization pass over cached phase-gate
-sequences.  :class:`PhaseFolder` remains the step-by-step API for callers
-that feed gates incrementally; both produce identical output (the property
-tests check this against the retained seed implementation in
-:mod:`repro.reference`).
+compare instead of enum identity plus set membership — and folds and
+materializes the placeholders with whole-array operations.  Its output is
+identical to the retained seed implementation in :mod:`repro.reference`
+(the property tests check this).
 
 Soundness: per computational-basis "branch" the phase contributed depends
 only on the parity's value, which is fixed along each branch; folding moves
@@ -37,187 +35,16 @@ simulation on random circuits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, FrozenSet, List, Tuple, Union
+from typing import Dict, FrozenSet, List, Tuple
 
 import numpy as np
 
 from ..circuit.circuit import Circuit
-from ..circuit.gates import EIGHTHS_TO_KINDS, PHASE_EIGHTHS, PHASE_KINDS, Gate, GateKind, phase_gate
+from ..circuit.gates import EIGHTHS_TO_KINDS, Gate, phase_gate
 from ..circuit.gatestream import GateStream, MCX_CODE, SWAP_CODE
 from .base import CircuitOptimizer, register
 from .cancel import cancel_to_fixpoint
 from .. import _kernels
-
-
-@dataclass
-class _Placeholder:
-    """A merged rotation to be materialized at finalization.
-
-    ``eighths`` accumulates relative to the *parity* (mask); ``const`` is
-    the wire's affine constant at the emission position — when it is 1 the
-    wire shows the negated parity, so materialization negates the count.
-    """
-
-    qubit: int
-    eighths: int
-    const: int
-
-
-@lru_cache(maxsize=None)
-def _materialized_phases(eighths: int, qubit: int) -> Tuple[Gate, ...]:
-    """Cached minimal phase-gate sequence worth ``eighths`` on ``qubit``."""
-    return tuple(phase_gate(kind, qubit) for kind in EIGHTHS_TO_KINDS[eighths])
-
-
-def _finalize(items: List[Union[Gate, _Placeholder]]) -> List[Gate]:
-    """Batch-materialize placeholders into the output gate list."""
-    gates: List[Gate] = []
-    append = gates.append
-    extend = gates.extend
-    for item in items:
-        if type(item) is _Placeholder:
-            eighths = item.eighths if item.const == 0 else (-item.eighths) % 8
-            extend(_materialized_phases(eighths % 8, item.qubit))
-        else:
-            append(item)
-    return gates
-
-
-class PhaseFolder:
-    """Single-sweep phase folding over a Clifford+T gate list."""
-
-    #: Parities are sets of variable ids (``frozenset`` XOR), not the seed's
-    #: one-bit-per-variable integers: fresh variables are minted monotonically,
-    #: so the bigint masks grow to hundreds of kilobits on benchmark circuits
-    #: and hashing them dominates the sweep.  Set equality coincides with
-    #: bigint equality, so the folded output is identical gate-for-gate.
-
-    def __init__(self, num_qubits: int) -> None:
-        self.num_qubits = num_qubits
-        self._next_var = 0
-        self.masks: List[frozenset] = []
-        self.consts: List[int] = []
-        for _ in range(num_qubits):
-            self.masks.append(self._fresh())
-            self.consts.append(0)
-        self.table: Dict[frozenset, _Placeholder] = {}
-        self.out: List[Union[Gate, _Placeholder]] = []
-
-    def _fresh(self) -> frozenset:
-        var = self._next_var
-        self._next_var += 1
-        return frozenset((var,))
-
-    def _cut(self, qubit: int) -> None:
-        self.masks[qubit] = self._fresh()
-        self.consts[qubit] = 0
-
-    # ----------------------------------------------------------------- sweep
-    def feed(self, gate: Gate) -> None:
-        kind = gate.kind
-        if kind in PHASE_KINDS and not gate.controls:
-            qubit = gate.target
-            mask = self.masks[qubit]
-            eighths = PHASE_EIGHTHS[kind]
-            if self.consts[qubit]:
-                eighths = (-eighths) % 8  # the offset is a global phase
-            if not mask:
-                return  # constant parity: pure global phase, dropped
-            entry = self.table.get(mask)
-            if entry is None:
-                entry = _Placeholder(qubit, 0, self.consts[qubit])
-                self.table[mask] = entry
-                self.out.append(entry)
-            entry.eighths = (entry.eighths + eighths) % 8
-            return
-        if kind is GateKind.MCX and len(gate.controls) == 1:
-            control, target = gate.controls[0], gate.target
-            self.masks[target] ^= self.masks[control]
-            self.consts[target] ^= self.consts[control]
-            self.out.append(gate)
-            return
-        if kind is GateKind.MCX and len(gate.controls) == 0:
-            self.consts[gate.target] ^= 1
-            self.out.append(gate)
-            return
-        if kind is GateKind.SWAP and not gate.controls:
-            a, b = gate.targets
-            self.masks[a], self.masks[b] = self.masks[b], self.masks[a]
-            self.consts[a], self.consts[b] = self.consts[b], self.consts[a]
-            self.out.append(gate)
-            return
-        # H, multiply-controlled gates, controlled phases: barrier on the
-        # gate's qubits (conservative for anything beyond Clifford+T).
-        for qubit in gate.qubits:
-            self._cut(qubit)
-        self.out.append(gate)
-
-    def finalize(self) -> List[Gate]:
-        return _finalize(self.out)
-
-
-def _fold_stream(stream: GateStream) -> List[Gate]:
-    """Phase-fold a packed gate stream (same sweep as :class:`PhaseFolder`)."""
-    num_qubits = stream.num_qubits
-    # parity sets, not bigint masks — see the note on :class:`PhaseFolder`
-    masks: List[frozenset] = [frozenset((q,)) for q in range(num_qubits)]
-    consts: List[int] = [0] * num_qubits
-    next_var = num_qubits
-    table: Dict[frozenset, _Placeholder] = {}
-    out: List[Union[Gate, _Placeholder]] = []
-    append = out.append
-
-    gates = stream.gates
-    kinds = stream.kinds.tolist()
-    num_controls = stream.num_controls.tolist()
-    eighth_list = stream.phase_eighths.tolist()
-
-    for i, gate in enumerate(gates):
-        ph = eighth_list[i]
-        if ph >= 0:  # uncontrolled phase gate
-            qubit = gate.targets[0]
-            mask = masks[qubit]
-            if consts[qubit]:
-                ph = (-ph) % 8  # the offset is a global phase
-            if not mask:
-                continue  # constant parity: pure global phase, dropped
-            entry = table.get(mask)
-            if entry is None:
-                entry = _Placeholder(qubit, 0, consts[qubit])
-                table[mask] = entry
-                append(entry)
-            entry.eighths = (entry.eighths + ph) % 8
-            continue
-        kind = kinds[i]
-        if kind == MCX_CODE:
-            nc = num_controls[i]
-            if nc == 1:
-                control = gate.controls[0]
-                target = gate.targets[0]
-                masks[target] ^= masks[control]
-                consts[target] ^= consts[control]
-                append(gate)
-                continue
-            if nc == 0:
-                consts[gate.targets[0]] ^= 1
-                append(gate)
-                continue
-        elif kind == SWAP_CODE and not gate.controls:
-            a, b = gate.targets
-            masks[a], masks[b] = masks[b], masks[a]
-            consts[a], consts[b] = consts[b], consts[a]
-            append(gate)
-            continue
-        # H, multiply-controlled gates, controlled phases: barrier on the
-        # gate's qubits (conservative for anything beyond Clifford+T).
-        for qubit in gate.qubits:
-            masks[qubit] = frozenset((next_var,))
-            next_var += 1
-            consts[qubit] = 0
-        append(gate)
-    return _finalize(out)
 
 
 def _fold_packed_keys_python(stream: GateStream) -> np.ndarray:
@@ -319,8 +146,9 @@ def _phase_luts(num_qubits: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     """Phase-fold a packed stream via array-level grouping.
 
-    Produces output identical to :func:`_fold_stream`, but only the wire
-    state machine is sequential — the compiled kernel when available,
+    Produces output identical to the one-gate-at-a-time sweep
+    (:func:`repro.reference.fold_phases_seed`), but only the wire state
+    machine is sequential — the compiled kernel when available,
     otherwise :func:`_fold_packed_keys_python` — and it merely *labels*
     each phase gate with its governing ``(parity, const)`` as a packed
     integer key.  All folding arithmetic then happens on whole arrays:

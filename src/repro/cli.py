@@ -61,7 +61,7 @@ from .cost import PaperCostModel
 from .cost.resources import estimate_resources
 from .errors import AnalysisError, ReproError
 from .lang import lower_source
-from .opt import OPTIMIZATIONS
+from .passes import PRESETS, apply_ir_passes, resolve_pipeline
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -126,7 +126,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_passes(args) -> int:
-    from .passes import PRESETS, canonical_pipeline, pass_catalog
+    from .passes import canonical_pipeline, pass_catalog
 
     print("registered passes (pipeline order: ir -> alloc,lower -> gates):")
     for row in pass_catalog():
@@ -150,9 +150,13 @@ def cmd_analyze(args) -> int:
     lowered = lower_source(source, args.entry, args.size, _config(args))
     from .compiler.pipeline import infer_cell_bits
     from .ir import check_program, infer_types
-    from .opt import OPTIMIZATIONS as OPTS
 
-    stmt = OPTS[args.optimize](lowered.stmt)
+    stmt = apply_ir_passes(
+        resolve_pipeline(args.optimize),
+        lowered.stmt,
+        lowered.table,
+        lowered.param_types,
+    )
     check_program(stmt, lowered.table, lowered.param_types,
                   relaxed=args.optimize != "none")
     var_types = infer_types(stmt, lowered.table, lowered.param_types)
@@ -830,7 +834,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compile = sub.add_parser("compile", help="compile to an MCX circuit")
     _add_common(p_compile)
-    p_compile.add_argument("--optimize", choices=sorted(OPTIMIZATIONS), default="none")
+    p_compile.add_argument("--optimize", choices=sorted(PRESETS), default="none")
     p_compile.add_argument("--pipeline", default=None, metavar="SPEC",
                            help="explicit pass pipeline (overrides "
                                 "--optimize), e.g. "
@@ -854,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="cost model only (no circuit)")
     _add_common(p_analyze)
-    p_analyze.add_argument("--optimize", choices=sorted(OPTIMIZATIONS), default="none")
+    p_analyze.add_argument("--optimize", choices=sorted(PRESETS), default="none")
     p_analyze.add_argument("--symbolic", action="store_true",
                            help="fit closed-form T/MCX bounds in the depth "
                                 "bound d (with per-function recurrences) "
@@ -887,13 +891,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_opt = sub.add_parser("optimizers", help="compare circuit optimizers")
     _add_common(p_opt)
-    p_opt.add_argument("--optimize", choices=sorted(OPTIMIZATIONS), default="none")
+    p_opt.add_argument("--optimize", choices=sorted(PRESETS), default="none")
     p_opt.add_argument("--timeout", type=float, default=2.0)
     p_opt.set_defaults(func=cmd_optimizers)
 
     p_res = sub.add_parser("resources", help="T-count/T-depth/qubit report")
     _add_common(p_res)
-    p_res.add_argument("--optimize", choices=sorted(OPTIMIZATIONS), default="none")
+    p_res.add_argument("--optimize", choices=sorted(PRESETS), default="none")
     p_res.set_defaults(func=cmd_resources)
 
     p_bench = sub.add_parser(

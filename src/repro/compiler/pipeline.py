@@ -8,17 +8,18 @@
            --gate lowering (lower)--> MCX-level Circuit
            --[optional gate passes: circuit optimizers]--> Clifford+T
 
-Since the pass-manager refactor this module is a thin driver over
-:mod:`repro.passes`: the ``optimization`` argument accepts the historical
-presets (``none|spire|flatten|narrow``), preset+optimizer forms
-(``spire+peephole``), or any raw pipeline spec
+This module is a thin driver over :mod:`repro.passes`: the
+``optimization`` argument accepts an optimization level from
+:data:`repro.passes.PRESETS` (``none|spire|flatten|narrow``),
+preset+optimizer forms (``spire+peephole``), or any raw pipeline spec
 (``flatten,narrow,alloc,lower,peephole(window=32)``) — see
-:func:`repro.passes.resolve_pipeline`.  The presets reproduce the
-pre-refactor outputs bit-identically (``tests/data/seed_tcounts.json``).
+:func:`repro.passes.resolve_pipeline`.  The presets reproduce the recorded
+seed T-counts bit-identically (``tests/data/seed_tcounts.json``).
 
 The result bundles the circuit with everything needed by the evaluation
 harness: the (optimized) core IR for the cost model, the register map for
-simulation, complexity counts, per-pass records, and stage timings.
+simulation, complexity counts, and the compile time — one record per
+executed pass plus the type-check seconds.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from ..config import CompilerConfig
 from ..errors import LoweringError
 from ..ir.core import MemSwap, Stmt
 from ..lang.ast import Program
-from ..lang.desugar import Lowered, lower_entry
+from ..lang.desugar import lower_entry
 from ..lang.parser import parse_program
 from ..types import Type, TypeTable
 
@@ -48,7 +49,9 @@ class CompiledProgram:
     param_types: Dict[str, Type]
     return_var: Optional[str]
     var_types: Dict[str, Type] = field(default_factory=dict)
-    timings: Dict[str, float] = field(default_factory=dict)
+    #: strict plus relaxed type-check time; every other compile second is
+    #: in ``pass_records``
+    typecheck_seconds: float = 0.0
     #: the optimization string as requested (preset or raw spec)
     optimization: str = "none"
     #: the canonical pipeline spec the circuit was produced by
@@ -140,26 +143,12 @@ def compile_core(
         param_types=dict(param_types),
         return_var=return_var,
         var_types=run.var_types,
-        timings=run.timings,
+        typecheck_seconds=run.typecheck_seconds,
         optimization=optimization,
         pipeline=pipeline.spec(),
         pass_records=run.records,
         snapshots=run.snapshots,
         analysis=run.analysis,
-    )
-
-
-def compile_lowered(
-    lowered: Lowered, optimization: str = "none", **kwargs
-) -> CompiledProgram:
-    """Compile the output of :func:`repro.lang.desugar.lower_entry`."""
-    return compile_core(
-        lowered.stmt,
-        lowered.table,
-        lowered.param_types,
-        optimization=optimization,
-        return_var=lowered.return_var,
-        **kwargs,
     )
 
 
@@ -173,7 +162,14 @@ def compile_program(
 ) -> CompiledProgram:
     """Compile one entry point of a parsed program."""
     lowered = lower_entry(program, entry, size, config)
-    return compile_lowered(lowered, optimization, **kwargs)
+    return compile_core(
+        lowered.stmt,
+        lowered.table,
+        lowered.param_types,
+        optimization=optimization,
+        return_var=lowered.return_var,
+        **kwargs,
+    )
 
 
 def compile_source(

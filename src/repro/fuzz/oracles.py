@@ -667,11 +667,11 @@ def _check_static_analysis(
     directly.
     """
     from ..analysis import lint_core_stmt, static_bounds
-    from ..opt import OPTIMIZATIONS as LEVELS
+    from ..passes import is_preset
 
     baseline_errors: Optional[Tuple[str, ...]] = None
     for optimization, cp in compiles.items():
-        if optimization in LEVELS:
+        if is_preset(optimization):
             mcx, t = _stage(
                 f"static-bound[{optimization}]",
                 static_bounds,

@@ -40,7 +40,13 @@ from .pipeline import (
     is_preset,
     resolve_pipeline,
 )
-from .manager import PassContext, PassManager, PassRecord, PipelineRun
+from .manager import (
+    PassContext,
+    PassManager,
+    PassRecord,
+    PipelineRun,
+    apply_ir_passes,
+)
 
 # importing the analysis pass module registers the 'analyze' stage pass;
 # module-level (not from-) import keeps the circular edge with
@@ -80,4 +86,5 @@ __all__ = [
     "PassManager",
     "PassRecord",
     "PipelineRun",
+    "apply_ir_passes",
 ]

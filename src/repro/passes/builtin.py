@@ -5,9 +5,9 @@ IR rewrites (stage ``ir``)
     Spire pass (Figure 22).  Both share the ``spire`` *engine*: adjacent
     occurrences in a pipeline fuse into one :class:`~repro.opt.spire.
     _Rewriter` traversal with the union of their rules, so the pipeline
-    ``flatten,narrow`` reproduces ``OPTIMIZATIONS["spire"]`` bit-for-bit
-    (sequential tree walks would not — the combined pass interleaves the
-    rules at each node).
+    ``flatten,narrow`` reproduces :func:`~repro.opt.spire.spire_optimize`
+    bit-for-bit (sequential tree walks would not — the combined pass
+    interleaves the rules at each node).
 
 Structural passes (stage ``lower``)
     ``alloc`` (type inference, cell-width inference, register allocation,
@@ -59,14 +59,11 @@ def _spire_engine(rules: FrozenSet[str], stmt: Stmt) -> Stmt:
 ENGINES["spire"] = _spire_engine
 
 
-@register_pass
-class FlattenPass(Pass):
-    """Conditional flattening (Section 6.1): if x { if y { s } } ~> with { z <- x && y } do { if z { s } }."""
+class _SpireRulePass(Pass):
+    """One rule of the combined Figure-22 pass, run by the ``spire`` engine."""
 
-    name = "flatten"
     stage = IR
     engine = "spire"
-    rules = frozenset({"flatten"})
     invariants = frozenset(
         {SEMANTICS_PRESERVING, PRESERVES_TYPES, DETERMINISTIC}
     )
@@ -78,19 +75,19 @@ class FlattenPass(Pass):
 
 
 @register_pass
-class NarrowPass(Pass):
+class FlattenPass(_SpireRulePass):
+    """Conditional flattening (Section 6.1): if x { if y { s } } ~> with { z <- x && y } do { if z { s } }."""
+
+    name = "flatten"
+    rules = frozenset({"flatten"})
+
+
+@register_pass
+class NarrowPass(_SpireRulePass):
     """Conditional narrowing (Section 6.2): if x { with { s1 } do { s2 } } ~> with { s1 } do { if x { s2 } }."""
 
     name = "narrow"
-    stage = IR
-    engine = "spire"
     rules = frozenset({"narrow"})
-    invariants = frozenset(
-        {SEMANTICS_PRESERVING, PRESERVES_TYPES, DETERMINISTIC}
-    )
-
-    def apply(self, ctx) -> None:
-        ctx.stmt = ENGINES[self.engine](self.rules, ctx.stmt)
 
 
 # ---------------------------------------------------------- structural stages

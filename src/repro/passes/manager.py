@@ -25,13 +25,20 @@ bisection reports for semantic defects.
 Adjacent IR passes sharing an *engine* (see :mod:`repro.passes.builtin`)
 are fused into a single traversal; the fused group appears as one
 :class:`PassRecord` whose ``members`` lists the constituent passes.
+:func:`apply_group` is the one place a pass group executes: the manager's
+runs and every caller that only needs the rewritten core IR
+(:func:`apply_ir_passes`) go through it.
+
+Compile time is recorded once: each :class:`PassRecord` carries its
+pass's ``seconds``, and :attr:`PipelineRun.typecheck_seconds` the strict
+check of the input plus the relaxed re-check after the IR rewrites.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..circuit.circuit import Circuit
 from ..circuit.decompose import DecompositionCache
@@ -111,9 +118,9 @@ class PipelineRun:
     abstract: Any
     circuit: Circuit
     records: List[PassRecord]
-    #: legacy stage timings (``optimize``/``typecheck``/``lower_ir``/
-    #: ``lower_gates`` plus ``opt:<name>`` per gate pass)
-    timings: Dict[str, float]
+    #: strict type check of the input plus the relaxed re-check after the
+    #: IR rewrites (the only compile time not in a pass record)
+    typecheck_seconds: float
     #: (canonical prefix spec, circuit) at every replayable cut point,
     #: populated only when the manager keeps snapshots
     snapshots: List[Tuple[str, Circuit]] = field(default_factory=list)
@@ -142,6 +149,48 @@ def _group_passes(pipeline: Pipeline) -> List[List[Tuple[int, PassSpec]]]:
         else:
             groups.append([(index, spec)])
     return groups
+
+
+def apply_group(ctx: PassContext, specs: Sequence[PassSpec]) -> None:
+    """Execute one pass group on ``ctx``.
+
+    A group of several passes is an engine-fused run of IR neighbours: one
+    traversal with the union of their rules.  Any other group is a single
+    pass.
+    """
+    if len(specs) > 1:
+        engine = get_pass_class(specs[0].name).engine
+        rules = frozenset().union(
+            *(get_pass_class(s.name).rules for s in specs)
+        )
+        ctx.stmt = ENGINES[engine](rules, ctx.stmt)
+    else:
+        make_pass(specs[0].name, **specs[0].kwargs()).apply(ctx)
+
+
+def apply_ir_passes(
+    pipeline: Pipeline,
+    stmt: Stmt,
+    table: TypeTable,
+    param_types: Dict[str, Type],
+) -> Stmt:
+    """``stmt`` as ``pipeline``'s IR passes rewrite it, without lowering.
+
+    Groups the passes as :meth:`PassManager.run` does, so engine-fused
+    neighbours execute as one traversal — structurally different from (and
+    therefore priced differently than) running them as separate sweeps.
+    """
+    ctx = PassContext(
+        table=table,
+        param_types=dict(param_types),
+        config=table.config,
+        stmt=stmt,
+    )
+    for group in _group_passes(pipeline):
+        specs = [spec for _, spec in group]
+        if specs[0].stage == IR:
+            apply_group(ctx, specs)
+    return ctx.stmt
 
 
 class PassManager:
@@ -179,45 +228,28 @@ class PassManager:
         )
         records: List[PassRecord] = []
         snapshots: List[Tuple[str, Circuit]] = []
-        timings: Dict[str, float] = {}
 
         start = time.perf_counter()
         if typecheck:
             # the user-written program is checked strictly (Figure 20)
             check_program(ctx.stmt, table, ctx.param_types)
-        strict_seconds = time.perf_counter() - start
+        typecheck_seconds = time.perf_counter() - start
 
-        groups = _group_passes(self.pipeline)
-        ir_seconds = 0.0
-        relaxed_seconds = 0.0
         relaxed_done = False
-        for group in groups:
-            first_index, first = group[0]
-            stage = get_pass_class(first.name).stage
+        for group in _group_passes(self.pipeline):
+            first = group[0][1]
+            stage = first.stage
             if stage not in (ANALYZE, IR) and not relaxed_done:
                 relaxed_done = True
-                start = time.perf_counter()
                 if typecheck and self.pipeline.ir_passes:
                     # optimizer output satisfies a relaxed S-If domain
                     # condition only
+                    start = time.perf_counter()
                     check_program(
                         ctx.stmt, table, ctx.param_types, relaxed=True
                     )
-                relaxed_seconds = time.perf_counter() - start
-            record = self._run_group(ctx, group, typecheck=typecheck)
-            records.append(record)
-            if stage == ANALYZE:
-                timings["analyze"] = (
-                    timings.get("analyze", 0.0) + record.seconds
-                )
-            elif stage == IR:
-                ir_seconds += record.seconds
-            elif first.name == "alloc":
-                timings["lower_ir"] = record.seconds
-            elif first.name == "lower":
-                timings["lower_gates"] = record.seconds
-            else:
-                timings[f"opt:{record.name}"] = record.seconds
+                    typecheck_seconds += time.perf_counter() - start
+            records.append(self._run_group(ctx, group, typecheck=typecheck))
             if (
                 self.verify
                 and first.name == "lower"
@@ -247,8 +279,6 @@ class PassManager:
                     f"{final_t} > {ctx.analysis.t}",
                 )
 
-        timings["optimize"] = strict_seconds + ir_seconds
-        timings["typecheck"] = relaxed_seconds
         return PipelineRun(
             pipeline=self.pipeline,
             stmt=ctx.stmt,
@@ -257,7 +287,7 @@ class PassManager:
             abstract=ctx.abstract,
             circuit=ctx.circuit,
             records=records,
-            timings=timings,
+            typecheck_seconds=typecheck_seconds,
             snapshots=snapshots,
             analysis=ctx.analysis,
         )
@@ -336,14 +366,7 @@ class PassManager:
             ).t_count()
 
         start = time.perf_counter()
-        if len(specs) > 1:
-            # engine fusion: one traversal with the union of the rules
-            rules = frozenset().union(
-                *(get_pass_class(s.name).rules for s in specs)
-            )
-            ctx.stmt = ENGINES[first_cls.engine](rules, ctx.stmt)
-        else:
-            make_pass(specs[0].name, **specs[0].kwargs()).apply(ctx)
+        apply_group(ctx, specs)
         seconds = time.perf_counter() - start
 
         verified: List[str] = []

@@ -21,7 +21,12 @@ from repro.cli import (
     EXIT_USAGE,
     main,
 )
+from repro.benchsuite.programs import ENTRIES, get_entry, get_source, is_unsized
+from repro.compiler import compile_source
+from repro.config import CompilerConfig
+from repro.cost import PaperCostModel
 from repro.errors import AnalysisError
+from repro.passes import PRESETS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -165,6 +170,34 @@ class TestAnalyzeSymbolic:
             ["analyze", length_file, "--symbolic", "--entry", "length"]
         )
         assert code == EXIT_INTERNAL
+
+
+class TestAnalyzeCostModel:
+    @pytest.mark.parametrize("name", sorted(ENTRIES))
+    def test_prices_the_ir_the_compiler_compiled(self, name, tmp_path, capsys):
+        """`repro analyze --optimize P` prints the Section-5 model of the
+        core IR that compiling at level P produces."""
+        path = tmp_path / "program.twr"
+        path.write_text(get_source(name))
+        size = None if is_unsized(name) else 3
+        config = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
+        sized = [] if size is None else ["--size", str(size)]
+        for preset in sorted(PRESETS):
+            code = main(
+                ["analyze", str(path), "--entry", get_entry(name), *sized,
+                 "--optimize", preset, "--word-width", "3",
+                 "--addr-width", "3", "--heap-cells", "6"]
+            )
+            assert code == EXIT_OK
+            out = capsys.readouterr().out
+            cp = compile_source(
+                get_source(name), get_entry(name), size, config, preset
+            )
+            want = PaperCostModel(cp.table, cp.var_types, cp.cell_bits).report(
+                cp.core
+            )
+            assert f"C_MCX = {want.mcx}\n" in out, preset
+            assert f"C_T   = {want.t}\n" in out, preset
 
 
 # ------------------------------------------------- optional static tooling

@@ -30,10 +30,11 @@ from repro.cost.exact import exact_counts
 from repro.errors import AnalysisError
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
-from repro.opt import OPTIMIZATIONS
+from repro.opt import spire_optimize
+from repro.passes import PRESETS as LEVELS
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
-PRESETS = tuple(sorted(OPTIMIZATIONS))
+PRESETS = tuple(sorted(LEVELS))
 
 
 class TestClosedForm:
@@ -76,7 +77,7 @@ class TestStaticBounds:
     def test_equals_exact_model(self, length_source):
         program = parse_program(length_source)
         lowered = lower_entry(program, "length", 3, CFG)
-        stmt = OPTIMIZATIONS["spire"](lowered.stmt)
+        stmt = spire_optimize(lowered.stmt)
         from repro.analysis import counts_for_stmt
 
         direct = counts_for_stmt(stmt, lowered.table, lowered.param_types)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.passes import StaticCostBound, apply_ir_passes_statically
+from repro.analysis.passes import StaticCostBound
 from repro.compiler import compile_source
 from repro.config import CompilerConfig
 from repro.cost.exact import exact_counts
@@ -12,6 +12,7 @@ from repro.errors import ReproError
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
 from repro.passes import (
+    apply_ir_passes,
     canonical_pipeline,
     pass_catalog,
     resolve_pipeline,
@@ -97,13 +98,13 @@ class TestStaticBoundInPipeline:
 class TestStaticApplication:
     @pytest.mark.parametrize("preset", ["flatten", "narrow", "spire"])
     def test_static_rewrite_matches_the_manager(self, length_source, preset):
-        """apply_ir_passes_statically must produce the same statement the
+        """apply_ir_passes must produce the same statement the
         manager's (possibly engine-fused) run does."""
         program = parse_program(length_source)
         lowered = lower_entry(program, "length", 3, CFG)
         pipe = resolve_pipeline(preset)
-        static_stmt = apply_ir_passes_statically(
-            pipe, lowered.stmt, lowered.table, lowered.param_types, CFG
+        static_stmt = apply_ir_passes(
+            pipe, lowered.stmt, lowered.table, lowered.param_types
         )
         cp = compile_source(length_source, "length", 3, CFG, preset)
         assert static_stmt == cp.core

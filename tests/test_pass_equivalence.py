@@ -3,7 +3,7 @@
 Satellite of the pass-manager refactor:
 
 * ``flatten`` and ``narrow`` as individual registered passes, composed in
-  a pipeline, must reproduce the monolithic ``OPTIMIZATIONS["spire"]``
+  a pipeline, must reproduce the monolithic Figure-22 ``spire_optimize``
   **bit-identically** — same core IR, same exact-model T-counts — across
   every Table-1 benchmark and 50 fuzz-generated programs.  (The pass
   manager fuses adjacent spire-family passes into one Figure-22
@@ -29,12 +29,20 @@ from repro.fuzz.generator import GenConfig, generate_workload, program_seed
 from repro.ir.typecheck import infer_types
 from repro.lang.desugar import lower_entry
 from repro.lang.parser import parse_program
-from repro.opt.spire import OPTIMIZATIONS
+from repro.opt.spire import flatten_only, narrow_only, spire_optimize
 
 CFG = CompilerConfig(word_width=3, addr_width=3, heap_cells=6)
 
 DATA = pathlib.Path(__file__).resolve().parent / "data" / "seed_tcounts.json"
 SEED = json.loads(DATA.read_text())
+
+#: the monolithic Figure-22 rewrites, by optimization level
+OPTIMIZATIONS = {
+    "none": lambda stmt: stmt,
+    "spire": spire_optimize,
+    "flatten": flatten_only,
+    "narrow": narrow_only,
+}
 
 #: (pipeline spec, monolithic optimizer) pairs that must agree exactly
 PIPELINE_VS_MONOLITHIC = [

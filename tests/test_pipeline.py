@@ -48,7 +48,8 @@ class TestBasicCompilation:
 
     def test_timings_recorded(self, length_source):
         cp = compile_source(length_source, "length", size=2, config=CFG)
-        assert set(cp.timings) == {"optimize", "typecheck", "lower_ir", "lower_gates"}
+        assert [r.name for r in cp.pass_records] == ["alloc", "lower"]
+        assert cp.typecheck_seconds > 0
 
 
 class TestDifferential:

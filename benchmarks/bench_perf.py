@@ -236,9 +236,12 @@ def _kernels_section(mode: str) -> dict:
         "identical_gates": ext_identical,
     }
 
-    stream = GateStream.from_gates(gates, ct.num_qubits)
     seed_s, seed_out = _timed(reference.fold_phases_seed, ct)
-    grouped_s, grouped_out = _timed(_fold_stream_grouped, stream)
+    # packing included, like the seed, which also starts from the circuit
+    grouped_s, grouped_out = _timed(
+        lambda: _fold_stream_grouped(GateStream.from_gates(gates, ct.num_qubits))
+    )
+    stream = GateStream.from_gates(gates, ct.num_qubits)
     keys = _kernels.fold_classify(stream)
     if keys is None:
         keys = _fold_packed_keys_python(stream)

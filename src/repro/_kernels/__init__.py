@@ -1,20 +1,28 @@
 """Optional compiled kernels with a pure-Python fallback.
 
-This package holds the plain-C implementation of the innermost optimizer
-scan (the cancellation stack sweep run to fixpoint) plus the ctypes
-loader and the array packing that feeds it.  Selection happens once at
-import time:
+This package holds the plain-C implementations of the two innermost
+optimizer scans — the cancellation stack sweep run to fixpoint
+(``cancel.c``) and the phase-fold parity classifier (``fold.c``) — plus
+the ctypes loader.  Both kernels read the integer columns of one
+:class:`~repro.circuit.gatestream.GateStream`; the only packing done here
+is what is specific to C: appending rows for merged phase gates,
+splitting bitmasks into ``uint64`` words, and the merge-row table.
+Selection happens once at import time:
 
 * ``REPRO_NO_EXT=1`` in the environment disables the extension outright.
 * Otherwise, if ``_cancel_kernel.so`` exists next to this file (built by
   ``python -m repro._kernels.build``) and reports the expected ABI, it
-  is used; any load failure silently falls back to pure Python.
+  is used.  Any load failure falls back to pure Python, and the reason
+  is reported by :func:`extension_status` (``repro serve`` exposes
+  availability as ``compiled_kernels`` on ``/healthz``).
 
 Callers never depend on the extension being present:
 :func:`cancel_fixpoint` returns ``None`` whenever the compiled path is
 unavailable or declines the input, and ``repro.circopt.cancel`` then
 runs its own vectorized pure-Python sweep.  Both paths are exercised by
-``tests/test_kernels.py`` and by the CI ``kernels`` job.
+``tests/test_kernels.py`` and by the CI ``kernels`` job; the CI
+``kernels-sanitized`` job runs them against an AddressSanitizer and
+UBSan build of the same sources.
 """
 
 from __future__ import annotations
@@ -135,6 +143,15 @@ def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
+def _mask_words(masks: list, words: int) -> np.ndarray:
+    """Python-int bitmasks as little-endian ``uint64`` words, one row each."""
+    out = np.empty((len(masks), words), dtype=np.uint64)
+    for w in range(words):
+        shift = 64 * w
+        out[:, w] = [(mask >> shift) & _MASK64 for mask in masks]
+    return out
+
+
 def cancel_fixpoint(
     gates: Sequence["Gate"], window: int, max_passes: int
 ) -> Optional[list]:
@@ -152,93 +169,43 @@ def cancel_fixpoint(
     if n == 0 or max_passes <= 0:
         return None
     from ..circuit.gates import EIGHTHS_TO_KINDS, GateKind, phase_gate
-    from ..circuit.gatestream import (
-        CODE_EIGHTHS,
-        FIRST_PHASE_CODE,
-        INVERSE_CODES,
-        KIND_CODES,
-    )
+    from ..circuit.gatestream import INVERSE_CODES, GateStream
 
-    # Deduplicate by object identity: the memoized gate builders make
-    # real streams share a small set of distinct Gate objects, so the
-    # per-gate cost collapses to one dict probe.  Equal-but-distinct
-    # objects just occupy extra rows, which is still correct because the
-    # sweep compares interned (controls, targets) ordinals, not rows.
-    row_of: dict = {}
-    objs: list = []
-    gate_rows = np.empty(n, dtype=np.int64)
-    for i, g in enumerate(gates):
-        key = id(g)
-        r = row_of.get(key)
-        if r is None:
-            r = len(objs)
-            row_of[key] = r
-            objs.append(g)
-        gate_rows[i] = r
-
-    num_qubits = 0
-    for g in objs:
-        for q in g.qubits:
-            if q >= num_qubits:
-                num_qubits = q + 1
-    if num_qubits == 0:
-        num_qubits = 1
+    stream = GateStream.from_gates(gates)
+    num_qubits = stream.num_qubits
     words = (num_qubits + 63) // 64
 
-    # Pre-register one row per (phase kind, qubit) so merged phase gates
-    # are addressable by row id from inside the C sweep.
+    # Rows for every merged phase gate the sweep can emit (phase kind x
+    # qubit), appended after the stream's rows so the C sweep addresses
+    # them by row id.  Their ordinals agree with the stream's: a gate
+    # with one target and no controls has ordinal ~target in every stream.
     phase_kinds = (GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG, GateKind.Z)
-    synth_row: dict = {}
-    for kind in phase_kinds:
-        for q in range(num_qubits):
-            synth_row[(kind, q)] = len(objs)
-            objs.append(phase_gate(kind, q))
+    merged = GateStream.from_gates(
+        [phase_gate(kind, q) for kind in phase_kinds for q in range(num_qubits)]
+    )
+    tables = (stream, merged)
+    objs = stream.row_gates + merged.row_gates
+    kinds = np.concatenate([t.row_kinds for t in tables])
+    invk = np.array(INVERSE_CODES, dtype=np.uint8)[kinds]
+    ph = np.concatenate([t.row_eighths for t in tables])
+    ords = np.concatenate([t.row_ords for t in tables])
+    tgt = np.concatenate([t.row_tgt0 for t in tables])
+    cm = _mask_words(stream.row_control_mask + merged.row_control_mask, words)
+    tm = _mask_words(stream.row_target_mask + merged.row_target_mask, words)
+    qm = cm | tm
 
-    m = len(objs)
-    kinds = np.empty(m, dtype=np.uint8)
-    invk = np.empty(m, dtype=np.uint8)
-    ph = np.empty(m, dtype=np.int8)
-    ords = np.empty(m, dtype=np.int64)
-    tgt = np.zeros(m, dtype=np.int32)
-    cm = np.zeros((m, words), dtype=np.uint64)
-    tm = np.zeros((m, words), dtype=np.uint64)
-    qm = np.zeros((m, words), dtype=np.uint64)
-    intern: dict = {}
-    for r, g in enumerate(objs):
-        code = KIND_CODES[g.kind]
-        kinds[r] = code
-        invk[r] = INVERSE_CODES[code]
-        cmask = g.control_mask
-        tmask = g.target_mask
-        if code >= FIRST_PHASE_CODE and not cmask:
-            ph[r] = CODE_EIGHTHS[code]
-            tgt[r] = g.targets[0]
-        else:
-            ph[r] = -1
-        key = (g.controls, g.targets)
-        o = intern.get(key)
-        if o is None:
-            o = len(intern)
-            intern[key] = o
-        ords[r] = o
-        qmask = cmask | tmask
-        for w in range(words):
-            shift = 64 * w
-            cm[r, w] = (cmask >> shift) & _MASK64
-            tm[r, w] = (tmask >> shift) & _MASK64
-            qm[r, w] = (qmask >> shift) & _MASK64
-
+    merged_rows = (len(stream.row_gates) + merged.rows).reshape(
+        len(phase_kinds), num_qubits
+    )
     merge_rows = np.full((8, num_qubits, 2), -1, dtype=np.int64)
     for eighths in range(8):
-        seq = EIGHTHS_TO_KINDS[eighths]
-        for q in range(num_qubits):
-            for j, kind in enumerate(seq):
-                merge_rows[eighths, q, j] = synth_row[(kind, q)]
+        for j, kind in enumerate(EIGHTHS_TO_KINDS[eighths]):
+            merge_rows[eighths, :, j] = merged_rows[phase_kinds.index(kind)]
 
     out_rows = np.empty(n, dtype=np.int64)
     res = lib.repro_cancel_fixpoint(
         n,
-        _ptr(gate_rows, ctypes.c_int64),
+        _ptr(stream.rows, ctypes.c_int64),
         words,
         _ptr(kinds, ctypes.c_uint8),
         _ptr(invk, ctypes.c_uint8),
@@ -276,7 +243,7 @@ def fold_classify(stream) -> Optional[np.ndarray]:
     phase_count = int(np.count_nonzero(eighths >= 0))
     if n == 0 or phase_count == 0:
         return np.empty(0, dtype=np.int64)
-    ctrl0, tgt0, tgt1 = stream.fold_columns()
+    ctrl0, tgt0, tgt1 = stream.ctrl0, stream.tgt0, stream.tgt1
     num_qubits = stream.num_qubits
     highest = max(int(ctrl0.max()), int(tgt0.max()), int(tgt1.max()))
     if highest >= num_qubits:

@@ -6,20 +6,23 @@ commutes with, up to a window) looking for an inverse partner to annihilate
 or an uncontrolled phase gate on the same wire to merge with.
 
 Two implementations produce gate-for-gate identical output (verified by the
-property tests against the frozen sweep in :mod:`repro.reference`):
+property tests against the frozen sweep in :mod:`repro.reference`).  Both
+read their integers from one :class:`~repro.circuit.gatestream.GateStream`
+and match inverse pairs by its ``(controls, targets)`` ordinal:
 
 * The compiled kernel in :mod:`repro._kernels` runs the entire fixpoint in
-  C over interned row ids and multi-word masks.  It is used when the shared
-  object is built and ``REPRO_NO_EXT=1`` is not set.
-* The pure-Python fallback packs each gate into a small tuple of integers
-  (kind code, inverse-kind code, qubit bitmasks, phase eighths) once per
-  fixpoint call and adds a vectorized pre-filter: a whole-array numpy match
-  over the stream's kind/ordinal arrays marks, in one shot, every gate that
-  has *no* inverse-pair or phase-merge candidate anywhere earlier in the
-  stream.  Those gates can never be placed — merging only ever moves phase
-  gates to positions of earlier phase gates on the same wire, so a gate
-  with no earlier candidate in the original order never gains one in later
-  passes — and the backward window scan is skipped for them entirely.
+  C over the stream's row ids and multi-word masks.  It is used when the
+  shared object is built and ``REPRO_NO_EXT=1`` is not set.
+* The pure-Python fallback turns each stream row into a small tuple of
+  integers (kind code, inverse-kind code, qubit bitmasks, phase eighths,
+  ordinal) once per fixpoint call and adds a vectorized pre-filter: a
+  whole-array numpy match over the stream's kind/ordinal arrays marks, in
+  one shot, every gate that has *no* inverse-pair or phase-merge candidate
+  anywhere earlier in the stream.  Those gates can never be placed —
+  merging only ever moves phase gates to positions of earlier phase gates
+  on the same wire, so a gate with no earlier candidate in the original
+  order never gains one in later passes — and the backward window scan is
+  skipped for them entirely.
 
 :class:`CliffordTPeephole` applies the sweep to the fully decomposed
 Clifford+T circuit — this is the strategy of Qiskit and Pytket's peephole
@@ -32,27 +35,27 @@ this behaviour.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from ..circuit.circuit import Circuit
-from ..circuit.gates import EIGHTHS_TO_KINDS, PHASE_EIGHTHS, Gate, phase_gate
+from ..circuit.gates import EIGHTHS_TO_KINDS, Gate, phase_gate
 from ..circuit.gatestream import (
     FIRST_PHASE_CODE,
     GateStream,
     INVERSE_CODES,
-    KIND_CODES,
     MCX_CODE,
 )
 from .base import CircuitOptimizer, register
 from .. import _kernels
 
 #: Packed gate: (gate, kind, inverse_kind, ctrl_mask, tgt_mask, qubit_mask,
-#: phase_eighths, placeable) — ``phase_eighths`` is ``-1`` unless the gate
-#: is an uncontrolled phase gate; ``placeable`` is False when the
+#: phase_eighths, ordinal, placeable) — ``phase_eighths`` is ``-1`` unless
+#: the gate is an uncontrolled phase gate; ``ordinal`` is the stream's
+#: ``(controls, targets)`` ordinal; ``placeable`` is False when the
 #: vectorized pre-filter proved no earlier partner exists.
-_Entry = Tuple[Gate, int, int, int, int, int, int, bool]
+_Entry = Tuple[Gate, int, int, int, int, int, int, int, bool]
 
 _INVERSE_ARR = np.array(INVERSE_CODES, dtype=np.int64)
 
@@ -92,46 +95,36 @@ def _placeable_flags(
 
 
 def _pack(gates: List[Gate]) -> List[_Entry]:
-    """Pack gates into integer tuples via the struct-of-arrays stream."""
+    """Pack gates into integer tuples: one per stream row, gathered per gate."""
     stream = GateStream.from_gates(gates)
-    intern: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], int] = {}
-    ords = np.empty(len(gates), dtype=np.int64)
-    for i, gate in enumerate(stream.gates):
-        key = (gate.controls, gate.targets)
-        o = intern.get(key)
-        if o is None:
-            o = len(intern)
-            intern[key] = o
-        ords[i] = o
-    kinds = stream.kinds.astype(np.int64)
-    eighths = stream.phase_eighths
-    flags = _placeable_flags(kinds, eighths, ords)
-    return [
-        (gate, kind, INVERSE_CODES[kind], cm, tm, qm, ph, flag)
-        for gate, kind, cm, tm, qm, ph, flag in zip(
-            stream.gates,
-            stream.kinds.tolist(),
-            stream.ctrl_masks.tolist(),
-            stream.tgt_masks.tolist(),
-            stream.qubit_masks.tolist(),
-            stream.phase_eighths.tolist(),
-            flags.tolist(),
+    row_ords = stream.row_ords.tolist()
+    row_entries = [
+        (gate, kind, INVERSE_CODES[kind], cm, tm, cm | tm, ph, o)
+        for gate, kind, cm, tm, ph, o in zip(
+            stream.row_gates,
+            stream.row_kinds.tolist(),
+            stream.row_control_mask,
+            stream.row_target_mask,
+            stream.row_eighths.tolist(),
+            row_ords,
         )
+    ]
+    flags = _placeable_flags(
+        stream.kinds.astype(np.int64),
+        stream.phase_eighths,
+        stream.row_ords[stream.rows],
+    )
+    return [
+        row_entries[r] + (flag,)
+        for r, flag in zip(stream.rows.tolist(), flags.tolist())
     ]
 
 
 @lru_cache(maxsize=None)
 def _merged_phase_entries(eighths: int, target: int) -> Tuple[_Entry, ...]:
     """Packed entries for the minimal phase sequence worth ``eighths``."""
-    tm = 1 << target
-    entries = []
-    for kind in EIGHTHS_TO_KINDS[eighths]:
-        code = KIND_CODES[kind]
-        entries.append(
-            (phase_gate(kind, target), code, INVERSE_CODES[code], 0, tm, tm,
-             PHASE_EIGHTHS[kind], True)
-        )
-    return tuple(entries)
+    gates = [phase_gate(kind, target) for kind in EIGHTHS_TO_KINDS[eighths]]
+    return tuple(entry[:-1] + (True,) for entry in _pack(gates))
 
 
 def _cancel_pass_packed(entries: List[_Entry], window: int) -> List[_Entry]:
@@ -144,23 +137,17 @@ def _cancel_pass_packed(entries: List[_Entry], window: int) -> List[_Entry]:
     """
     out: List[_Entry] = []
     for entry in entries:
-        if not entry[7]:
+        if not entry[8]:
             out.append(entry)
             continue
-        gate, kind, _inv, cm, tm, qm, ph, _flag = entry
+        gate, kind, _inv, cm, tm, qm, ph, ordinal, _flag = entry
         k = len(out) - 1
         steps = 0
         placed = False
         while k >= 0 and steps < window:
             prev = out[k]
-            pgate, pkind, pinv, pcm, ptm, pqm, pph, _pflag = prev
-            if (
-                pinv == kind
-                and pcm == cm
-                and ptm == tm
-                and pgate.targets == gate.targets
-                and pgate.controls == gate.controls
-            ):
+            _pgate, pkind, pinv, pcm, ptm, pqm, pph, pord, _pflag = prev
+            if pinv == kind and pord == ordinal:
                 del out[k]
                 placed = True
                 break

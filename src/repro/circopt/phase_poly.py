@@ -198,15 +198,7 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     const0 = pconst[first]
     final8 = np.where(const0 != 0, (8 - sums) % 8, sums)
     pos0 = phase_pos[first]
-    cols = stream._fold_cols  # cached when the compiled classifier ran
-    if cols is not None:
-        qubit0 = cols[1][pos0].astype(np.int64)
-    else:
-        qubit0 = np.fromiter(
-            (gates[p].targets[0] for p in pos0.tolist()),
-            dtype=np.int64,
-            count=len(pos0),
-        )
+    qubit0 = stream.tgt0[pos0].astype(np.int64)
 
     # materialize placeholders by table lookup; order keys are
     # 2*position (+1 for the second gate of a two-gate phase sequence),

@@ -58,10 +58,9 @@ class Circuit:
         registers: Dict[str, Register] | None = None,
     ) -> None:
         self.num_qubits = num_qubits
-        self.gates: List[Gate] = list(gates)
+        self.gates: List[Gate] = []
         self.registers: Dict[str, Register] = dict(registers or {})
-        for gate in self.gates:
-            self._grow(gate)
+        self.extend(gates)
 
     # ----------------------------------------------------------- construction
     def _grow(self, gate: Gate) -> None:

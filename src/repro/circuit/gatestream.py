@@ -1,33 +1,49 @@
 """Compact struct-of-arrays representation of a gate stream.
 
-The optimizer and simulation hot paths (``circopt.cancel``,
-``circopt.phase_poly``, ``circuit.statevector``) spend most of their time on
-three questions about a gate: *what kind is it*, *which qubits does it
-touch*, and *how many eighth-turns of phase does it apply*.  Answering them
-through ``Gate`` objects costs an attribute lookup, an enum identity check
-and often a set construction per query.  :class:`GateStream` answers them
-through parallel numpy arrays built once per sweep:
+The optimizer hot paths (``circopt.cancel``, ``circopt.phase_poly``, the
+compiled kernels in ``repro._kernels``) and the on-disk snapshots
+(``circuit.snapshot``) spend most of their time on three questions about
+a gate: *what kind is it*, *which qubits does it touch*, and *how many
+eighth-turns of phase does it apply*.  Answering them through ``Gate``
+objects costs an attribute lookup, an enum identity check and often a set
+construction per query.  :meth:`GateStream.from_gates` answers them once,
+and is the only code that turns ``Gate`` objects into integer columns.
 
-* ``kinds`` — ``uint8`` kind codes (:data:`KIND_CODES`);
-* ``num_controls`` — ``int32`` control counts;
-* ``ctrl_masks`` / ``tgt_masks`` / ``qubit_masks`` — per-gate qubit bitmasks.
-  These are *object* arrays of Python ints because benchmark circuits
-  routinely exceed 64 wires, so fixed-width integers would overflow;
-* ``phase_eighths`` — ``int8``; the eighth-turn count of an *uncontrolled
-  phase gate* (T=1, S=2, Z=4, S†=6, T†=7) and ``-1`` for every other gate.
+Packing is deduplicated by object identity.  The memoized gate builders
+make real streams share a small set of distinct ``Gate`` objects (a
+276k-gate Clifford+T expansion has about 12k), so every column is
+computed once per *row* — one distinct object, in first-use order — and
+``rows`` maps each gate to its row.  Equal but distinct objects simply
+take separate rows: consumers match gates by ordinal, never by row.
 
-The stream also retains the original :class:`Gate` objects, which makes the
-round-trip ``GateStream.from_gates(gs).to_gates() == gs`` lossless by
-construction: the arrays alone canonicalize control/target *order* (a mask
-is a set), and the paper's evaluation requires bit-for-bit identical gate
-lists before and after the vectorized rewrite.  :meth:`rebuild_gates`
-reconstructs gates from the arrays alone (controls ascending) for callers
-that want the canonical form.
+Row table (one entry per distinct object):
+
+* ``row_gates`` — the distinct ``Gate`` objects;
+* ``row_kinds`` — ``uint8`` kind codes (:data:`KIND_CODES`);
+* ``row_eighths`` — ``int8``; the eighth-turn count of an *uncontrolled
+  phase gate* (T=1, S=2, Z=4, S†=6, T†=7) and ``-1`` for every other gate;
+* ``row_ords`` — ``int64`` ordinals, equal exactly when the ``(controls,
+  targets)`` tuples are equal (tuple *order* counts).  A gate with no
+  controls and one target ``q`` has ordinal ``~q``, so streams packed
+  separately agree on those; the rest are interned from 0 up;
+* ``row_tgt0`` — ``int32`` first target;
+* ``row_control_mask`` / ``row_target_mask`` — lists of Python-int
+  bitmasks (benchmark circuits routinely exceed 64 wires).
+
+Per-gate columns, gathered from the row table: ``kinds``,
+``num_controls`` (``int32``), ``phase_eighths``, and the ``int32`` qubit
+columns ``ctrl0`` / ``tgt0`` / ``tgt1`` — first control, first target,
+second target, ``-1`` when absent.  Gates with two or more controls are
+not fully described by these three; consumers check ``num_controls``.
+
+The stream retains the original ``gates`` list, so optimizers can emit
+the very objects they were given — the paper's evaluation requires
+bit-for-bit identical gate lists before and after the packed rewrite.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -51,7 +67,6 @@ CODE_KINDS = tuple(
 )
 
 MCX_CODE = KIND_CODES[GateKind.MCX]
-H_CODE = KIND_CODES[GateKind.H]
 SWAP_CODE = KIND_CODES[GateKind.SWAP]
 
 #: Codes ``>= FIRST_PHASE_CODE`` are diagonal phase kinds (T/T†/S/S†/Z).
@@ -76,157 +91,107 @@ CODE_EIGHTHS = tuple(PHASE_EIGHTHS.get(kind, 0) for kind in CODE_KINDS)
 
 
 class GateStream:
-    """Parallel-array mirror of a ``list[Gate]`` (see module docstring)."""
+    """Row-deduplicated parallel-array view of a ``list[Gate]``.
+
+    See the module docstring for the columns.
+    """
 
     __slots__ = (
         "gates",
         "num_qubits",
+        "rows",
+        "row_gates",
+        "row_kinds",
+        "row_eighths",
+        "row_ords",
+        "row_tgt0",
+        "row_control_mask",
+        "row_target_mask",
         "kinds",
         "num_controls",
-        "ctrl_masks",
-        "tgt_masks",
-        "qubit_masks",
         "phase_eighths",
-        "_fold_cols",
+        "ctrl0",
+        "tgt0",
+        "tgt1",
     )
 
-    def __init__(
-        self,
-        gates: Sequence[Gate],
-        num_qubits: int,
-        kinds: np.ndarray,
-        num_controls: np.ndarray,
-        ctrl_masks: np.ndarray,
-        tgt_masks: np.ndarray,
-        qubit_masks: np.ndarray,
-        phase_eighths: np.ndarray,
-    ) -> None:
-        self.gates = list(gates)
-        self.num_qubits = num_qubits
-        self.kinds = kinds
-        self.num_controls = num_controls
-        self.ctrl_masks = ctrl_masks
-        self.tgt_masks = tgt_masks
-        self.qubit_masks = qubit_masks
-        self.phase_eighths = phase_eighths
-        self._fold_cols: tuple | None = None
-
-    # -------------------------------------------------------------- building
     @classmethod
     def from_gates(
         cls, gates: Iterable[Gate], num_qubits: int | None = None
     ) -> "GateStream":
-        """Pack a gate list into parallel arrays (lossless; gates retained)."""
+        """Pack a gate list (retained as ``gates``) into row and gate columns.
+
+        ``num_qubits`` defaults to one past the highest qubit touched.
+        """
+        stream = cls()
         gate_list = list(gates)
-        n = len(gate_list)
-        kinds = np.empty(n, dtype=np.uint8)
-        num_controls = np.empty(n, dtype=np.int32)
-        ctrl_masks = np.empty(n, dtype=object)
-        tgt_masks = np.empty(n, dtype=object)
-        qubit_masks = np.empty(n, dtype=object)
-        phase_eighths = np.empty(n, dtype=np.int8)
+        distinct = {id(gate): gate for gate in gate_list}
+        row_of = {key: r for r, key in enumerate(distinct)}
+        rows = np.fromiter(
+            map(row_of.__getitem__, map(id, gate_list)),
+            dtype=np.int64,
+            count=len(gate_list),
+        )
+        row_gates = list(distinct.values())
+
+        kinds = []
+        eighths = []
+        ords = []
+        num_controls = []
+        ctrl0 = []
+        tgt0 = []
+        tgt1 = []
+        control_mask = []
+        target_mask = []
+        intern: dict = {}
         top = -1
-        for i, gate in enumerate(gate_list):
+        for gate in row_gates:
+            controls = gate.controls
+            targets = gate.targets
             code = KIND_CODES[gate.kind]
-            kinds[i] = code
-            num_controls[i] = len(gate.controls)
-            cm = gate.control_mask
-            tm = gate.target_mask
-            ctrl_masks[i] = cm
-            tgt_masks[i] = tm
-            qubit_masks[i] = cm | tm
-            phase_eighths[i] = (
-                CODE_EIGHTHS[code] if code >= FIRST_PHASE_CODE and not cm else -1
+            kinds.append(code)
+            eighths.append(
+                CODE_EIGHTHS[code]
+                if code >= FIRST_PHASE_CODE and not controls
+                else -1
             )
-            high = max(gate.qubits, default=-1)
+            if controls or len(targets) > 1:
+                ords.append(intern.setdefault((controls, targets), len(intern)))
+            else:
+                ords.append(~targets[0])
+            num_controls.append(len(controls))
+            ctrl0.append(controls[0] if controls else -1)
+            tgt0.append(targets[0])
+            tgt1.append(targets[1] if len(targets) > 1 else -1)
+            control_mask.append(gate.control_mask)
+            target_mask.append(gate.target_mask)
+            high = max(gate.qubits)
             if high > top:
                 top = high
-        if num_qubits is None:
-            num_qubits = top + 1
-        return cls(
-            gate_list,
-            num_qubits,
-            kinds,
-            num_controls,
-            ctrl_masks,
-            tgt_masks,
-            qubit_masks,
-            phase_eighths,
-        )
 
-    # ------------------------------------------------------------ columns
-    def fold_columns(self):
-        """Fixed-width qubit columns ``(ctrl0, tgt0, tgt1)`` (int32, lazy).
+        stream.gates = gate_list
+        stream.num_qubits = top + 1 if num_qubits is None else num_qubits
+        stream.rows = rows
+        stream.row_gates = row_gates
+        stream.row_kinds = np.array(kinds, dtype=np.uint8)
+        stream.row_eighths = np.array(eighths, dtype=np.int8)
+        stream.row_ords = np.array(ords, dtype=np.int64)
+        stream.row_tgt0 = np.array(tgt0, dtype=np.int32)
+        stream.row_control_mask = control_mask
+        stream.row_target_mask = target_mask
+        stream.kinds = stream.row_kinds[rows]
+        stream.num_controls = np.array(num_controls, dtype=np.int32)[rows]
+        stream.phase_eighths = stream.row_eighths[rows]
+        stream.ctrl0 = np.array(ctrl0, dtype=np.int32)[rows]
+        stream.tgt0 = stream.row_tgt0[rows]
+        stream.tgt1 = np.array(tgt1, dtype=np.int32)[rows]
+        return stream
 
-        Per gate: first control, first target, second target — ``-1``
-        when absent.  Gates with two or more controls are not fully
-        described (consumers must check ``num_controls``); the compiled
-        fold kernel declines such streams and the pure-Python sweep,
-        which reads the retained :class:`Gate` objects, takes over.
-        Computed on first use and cached on the stream.
-        """
-        cols = self._fold_cols
-        if cols is None:
-            n = len(self.gates)
-            ctrl0 = np.full(n, -1, dtype=np.int32)
-            tgt0 = np.full(n, -1, dtype=np.int32)
-            tgt1 = np.full(n, -1, dtype=np.int32)
-            for i, gate in enumerate(self.gates):
-                controls = gate.controls
-                if controls:
-                    ctrl0[i] = controls[0]
-                targets = gate.targets
-                tgt0[i] = targets[0]
-                if len(targets) > 1:
-                    tgt1[i] = targets[1]
-            cols = (ctrl0, tgt0, tgt1)
-            self._fold_cols = cols
-        return cols
-
-    # ------------------------------------------------------------ unpacking
-    def to_gates(self) -> List[Gate]:
-        """The original gate list (lossless round-trip)."""
-        return list(self.gates)
-
-    def rebuild_gates(self) -> List[Gate]:
-        """Reconstruct gates from the arrays alone.
-
-        Control and target order is canonicalized to ascending qubit index;
-        the result is semantically identical to :meth:`to_gates` and equal to
-        it whenever the source gates already listed qubits in ascending
-        order.  Used by tests to check the arrays are faithful.
-        """
-        out: List[Gate] = []
-        for i in range(len(self.gates)):
-            kind = CODE_KINDS[self.kinds[i]]
-            controls = _mask_bits(self.ctrl_masks[i])
-            targets = _mask_bits(self.tgt_masks[i])
-            out.append(Gate(kind, controls, targets))
-        return out
-
-    # ------------------------------------------------------------- measures
     def __len__(self) -> int:
         return len(self.gates)
 
-    def t_count(self) -> int:
-        """Number of T/T† gates, counted on the packed array."""
-        return int(
-            np.count_nonzero(
-                (self.kinds == KIND_CODES[GateKind.T])
-                | (self.kinds == KIND_CODES[GateKind.TDG])
-            )
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<GateStream {self.num_qubits} qubits, {len(self.gates)} gates>"
-
-
-def _mask_bits(mask: int):
-    bits = []
-    q = 0
-    while mask:
-        if mask & 1:
-            bits.append(q)
-        mask >>= 1
-        q += 1
-    return tuple(bits)
+        return (
+            f"<GateStream {self.num_qubits} qubits, {len(self.gates)} gates, "
+            f"{len(self.row_gates)} rows>"
+        )

@@ -3,12 +3,13 @@
 The evaluation harness caches compiled circuits on disk so that a
 (benchmark, depth, optimization) point is expanded to gates exactly once
 per source/config/version.  A snapshot stores the :class:`GateStream`
-view of a circuit — the ``kinds`` and ``phase_eighths`` arrays verbatim,
-and the per-gate qubit *lists* (controls first, original order) from which
-the stream's bitmask arrays are rebuilt on load.  Qubit lists rather than
-bitmasks are what make the format lossless: a mask is a set, and the
-Figure 5 MCX expansion is sensitive to control order, so canonicalizing
-order on disk would change downstream optimizer output gate-for-gate.
+view of a circuit — the ``kinds``, ``phase_eighths`` and ``num_controls``
+columns verbatim, and the per-gate qubit *lists* (controls first, original
+order, read once per stream row) from which the gates are rebuilt on
+load.  Qubit lists rather than bitmasks are what make the format
+lossless: a mask is a set, and the Figure 5 MCX expansion is sensitive to
+control order, so canonicalizing order on disk would change downstream
+optimizer output gate-for-gate.
 
 Layout (all integers little-endian)::
 
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import chain
 from pathlib import Path
 from typing import List, Union
 
@@ -56,13 +58,12 @@ def dump_bytes(circuit: Circuit) -> bytes:
     """Serialize ``circuit`` to a compact binary snapshot."""
     stream = GateStream.from_gates(circuit.gates, circuit.num_qubits)
     n = len(stream)
-    num_targets = np.empty(n, dtype=np.uint8)
-    qubit_words: List[int] = []
-    for i, gate in enumerate(stream.gates):
-        num_targets[i] = len(gate.targets)
-        qubit_words.extend(gate.controls)
-        qubit_words.extend(gate.targets)
-    qubits = np.asarray(qubit_words, dtype=np.int32)
+    num_targets = np.where(stream.tgt1 >= 0, 2, 1).astype(np.uint8)
+    row_qubits = [gate.qubits for gate in stream.row_gates]
+    qubits = np.fromiter(
+        chain.from_iterable(map(row_qubits.__getitem__, stream.rows.tolist())),
+        dtype=np.int32,
+    )
     header = json.dumps(
         {
             "num_qubits": circuit.num_qubits,
@@ -123,8 +124,8 @@ def _load_bytes(data: bytes) -> Circuit:
         )
     kinds = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
     offset += n
-    # phase_eighths is re-derivable from kinds; stored for stream fidelity
-    # and skipped on load (from_gates recomputes it below).
+    # phase_eighths is re-derivable from kinds and num_controls; stored
+    # for stream fidelity and skipped on load.
     offset += n
     num_controls = np.frombuffer(data, dtype="<i4", count=n, offset=offset)
     offset += 4 * n

@@ -310,16 +310,17 @@ class ArtifactCache:
     def load_circuit(self, key: str) -> Optional[Circuit]:
         """The stored compiled circuit, or ``None``.
 
-        Same read classification as :meth:`load_point`: a blob failing
-        its envelope checksum (or the snapshot decoder) is quarantined
-        and counted corrupt, an unreadable file counts as an I/O error,
-        and neither is ever conflated with a plain miss.
+        Same read classification and counters as :meth:`load_point`: a
+        blob failing its envelope checksum (or the snapshot decoder) is
+        quarantined and counted corrupt, an unreadable file counts as an
+        I/O error, and neither is ever conflated with a plain miss.
         """
         path = self._entry_dir(key) / CIRCUIT_FILE
         try:
             inject.fire("cache.load_circuit", key=key)
             data = path.read_bytes()
         except _MISS_ERRORS:
+            self._count("misses")
             return None
         except OSError:
             self._count("io_errors")
@@ -329,6 +330,7 @@ class ArtifactCache:
             self._count("corrupt")
             self._quarantine(path, key)
             return None
+        self._count("hits")
         self._touch(path)
         return circuit
 

@@ -19,8 +19,7 @@ wide scan windows:
 from __future__ import annotations
 
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import decompose_toffoli_to_clifford_t
-from ..circuit.gates import Gate, GateKind
+from ..circuit.decompose import expand_toffolis
 from .base import CircuitOptimizer, register
 from .cancel import cancel_to_fixpoint
 from .phase_poly import fold_phases
@@ -42,13 +41,9 @@ class ZXLike(CircuitOptimizer):
     def run(self, circuit: Circuit) -> Circuit:
         toffoli_level = self._to_toffoli(circuit)
         reduced = cancel_to_fixpoint(toffoli_level.gates, self.window)
-        clifford_t: list[Gate] = []
-        for gate in reduced:
-            if gate.kind is GateKind.MCX and len(gate.controls) == 2:
-                clifford_t.extend(decompose_toffoli_to_clifford_t(gate))
-            else:
-                clifford_t.append(gate)
-        current = Circuit(toffoli_level.num_qubits, clifford_t, dict(toffoli_level.registers))
+        current = expand_toffolis(
+            Circuit(toffoli_level.num_qubits, reduced, toffoli_level.registers)
+        )
         for _ in range(4):
             before = current.t_count()
             current = fold_phases(current)

@@ -4,6 +4,9 @@ A :class:`Circuit` is an ordered list of :class:`~repro.circuit.gates.Gate`
 applications over ``num_qubits`` wires, with an optional mapping from named
 registers (program variables, memory cells, scratch space) to qubit ranges.
 
+The width is a contract: the producer declares it; the constructor trusts
+it; outside input (snapshots, ``.qc`` files) is checked at the loader.
+
 The two complexity metrics of the paper are computed here:
 
 * :meth:`Circuit.mcx_complexity` — the number of gates when the circuit is
@@ -49,47 +52,23 @@ class Register:
 
 
 class Circuit:
-    """An ordered sequence of gates over a fixed number of qubits."""
+    """An ordered sequence of gates over a declared number of qubits.
+
+    The constructor never scans the gates; only :meth:`add_register`
+    widens a circuit.
+    """
 
     def __init__(
         self,
-        num_qubits: int = 0,
+        num_qubits: int,
         gates: Iterable[Gate] = (),
         registers: Dict[str, Register] | None = None,
     ) -> None:
         self.num_qubits = num_qubits
-        self.gates: List[Gate] = []
+        self.gates: List[Gate] = list(gates)
         self.registers: Dict[str, Register] = dict(registers or {})
-        self.extend(gates)
 
     # ----------------------------------------------------------- construction
-    def _grow(self, gate: Gate) -> None:
-        top = max(gate.qubits, default=-1)
-        if top >= self.num_qubits:
-            self.num_qubits = top + 1
-
-    def append(self, gate: Gate) -> None:
-        """Append one gate, growing the qubit count if needed."""
-        self._grow(gate)
-        self.gates.append(gate)
-
-    def extend(self, gates: Iterable[Gate]) -> None:
-        """Append several gates, growing the qubit count once for the batch.
-
-        Equivalent to repeated :meth:`append` but performs a single growth
-        update: million-gate extends (decomposition output, optimizer
-        rewrites) otherwise pay a per-gate bound check and method dispatch.
-        """
-        batch = list(gates)
-        top = -1
-        for gate in batch:
-            high = max(gate.qubits, default=-1)
-            if high > top:
-                top = high
-        if top >= self.num_qubits:
-            self.num_qubits = top + 1
-        self.gates.extend(batch)
-
     def add_register(self, register: Register) -> Register:
         """Record a named register; returns it for convenience."""
         self.registers[register.name] = register

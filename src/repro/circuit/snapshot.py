@@ -23,6 +23,9 @@ Layout (all integers little-endian)::
     u8[n]   num_targets    (1, or 2 for SWAP)
     i32[m]  qubits         (per gate: controls then targets, original order)
 
+A qubit id outside the header's ``0 .. num_qubits-1`` is corruption: the
+:class:`~repro.circuit.circuit.Circuit` constructor trusts that width.
+
 ``load_bytes(dump_bytes(c)) == c`` holds gate-for-gate, registers and
 ``num_qubits`` included, for every circuit either gate level can produce;
 the property test in ``tests/test_snapshot.py`` checks this on random
@@ -132,6 +135,12 @@ def _load_bytes(data: bytes) -> Circuit:
     num_targets = np.frombuffer(data, dtype=np.uint8, count=n, offset=offset)
     offset += n
     qubits = np.frombuffer(data, dtype="<i4", count=qubit_words, offset=offset)
+    num_qubits = header["num_qubits"]
+    if qubit_words and (qubits.min() < 0 or qubits.max() >= num_qubits):
+        raise SnapshotError(
+            f"qubit ids {qubits.min()}..{qubits.max()} fall outside the "
+            f"header's {num_qubits} qubits"
+        )
     gates: List[Gate] = []
     pos = 0
     qubit_list = qubits.tolist()
@@ -147,7 +156,7 @@ def _load_bytes(data: bytes) -> Circuit:
         name: Register(name, reg_offset, width)
         for name, reg_offset, width in header["registers"]
     }
-    return Circuit(header["num_qubits"], gates, registers)
+    return Circuit(num_qubits, gates, registers)
 
 
 def dump(circuit: Circuit, path: Union[str, Path]) -> Path:

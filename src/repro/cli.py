@@ -29,9 +29,9 @@ Commands:
 
 Examples::
 
-    python -m repro compile examples/length.twr --entry length --size 5 \\
+    python -m repro compile prog.twr --entry main --size 5 \\
         --optimize spire --emit out.qc
-    python -m repro compile examples/length.twr --entry length --size 5 \\
+    python -m repro compile prog.twr --entry main --size 5 \\
         --pipeline "flatten,narrow,alloc,lower,peephole(window=32)" \\
         --verify-passes
     python -m repro bench --select fig15 table1 --jobs 8 \\

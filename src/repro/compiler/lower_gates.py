@@ -493,10 +493,11 @@ def expand_program(
     )
     scratch = ScratchPool(abstract.allocator.region_end)
     expander = InstructionExpander(scratch, memory, config.word_width)
-    circuit = Circuit(max(scratch.high_water, abstract.allocator.region_end))
+    gates: List[Gate] = []
     for instr in abstract.instrs:
-        circuit.extend(expander.expand(instr))
-    circuit.num_qubits = max(circuit.num_qubits, scratch.high_water)
+        gates.extend(expander.expand(instr))
+    width = max(scratch.high_water, abstract.allocator.region_end)
+    circuit = Circuit(width, gates)
     for name, reg in abstract.allocator.final_registers().items():
         circuit.add_register(reg)
     if memory is not None:

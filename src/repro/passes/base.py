@@ -60,6 +60,10 @@ DETERMINISTIC = "deterministic"
 #: equality at the lower boundary, dominance after every gate pass
 STATIC_COST_BOUND = "static_cost_bound"
 
+#: no gate touches a qubit past the declared width (checked after
+#: ``lower`` and every gate pass; no pass declares it)
+DECLARED_WIDTH = "declared_width"
+
 #: every invariant name a pass may declare
 KNOWN_INVARIANTS = frozenset(
     {

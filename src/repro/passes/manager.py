@@ -16,7 +16,10 @@ checks the machine-checkable declared invariants:
   :data:`~repro.passes.base.TCOUNT_NONINCREASING`, the result's T-count
   must not exceed that of the Clifford+T expansion of the pass's input;
 * gate passes declaring :data:`~repro.passes.base.CLIFFORD_T_OUTPUT`
-  must emit a pure Clifford+T circuit.
+  must emit a pure Clifford+T circuit;
+* after ``lower`` and every gate pass, no gate may touch a qubit at or
+  above the circuit's declared ``num_qubits``
+  (:data:`~repro.passes.base.DECLARED_WIDTH`).
 
 Violations raise :class:`~repro.passes.base.PassVerificationError` naming
 the offending pass — the same attribution the fuzzing harness's pipeline
@@ -50,8 +53,10 @@ from ..types import Type, TypeTable
 from .base import (
     ANALYZE,
     CLIFFORD_T_OUTPUT,
+    DECLARED_WIDTH,
     GATES,
     IR,
+    LOWER,
     PassVerificationError,
     PRESERVES_TYPES,
     STATIC_COST_BOUND,
@@ -399,6 +404,14 @@ class PassManager:
                             "result is not a Clifford+T circuit",
                         )
                     verified.append(CLIFFORD_T_OUTPUT)
+            if stage in (LOWER, GATES) and ctx.circuit is not None:
+                width = ctx.circuit.num_qubits
+                top = max(map(max, (g.qubits for g in ctx.circuit)), default=-1)
+                if top >= width:
+                    raise PassVerificationError(
+                        name, DECLARED_WIDTH, f"a gate on qubit {top} >= {width}"
+                    )
+                verified.append(DECLARED_WIDTH)
 
         return PassRecord(
             name=name,

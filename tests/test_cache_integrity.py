@@ -165,8 +165,21 @@ def test_missing_entry_is_a_plain_miss(tmp_path):
     assert cache.load_point(KEY) is None
     assert cache.load_circuit(KEY) is None
     stats = cache.stats()
-    assert stats["misses"] == 1
+    assert stats["misses"] == 2
     assert stats["io_errors"] == 0 and stats["corrupt"] == 0
+
+
+def test_circuit_reads_count_hits_and_misses(tmp_path):
+    """`/cache/stats` sums these counters: a circuit read must count
+    like a point read, or a replay served from a cached circuit reads
+    as a 0% hit rate."""
+    cache = ArtifactCache(tmp_path)
+    cache.store_circuit(KEY, small_circuit())
+    assert cache.load_circuit(KEY) == small_circuit()
+    assert cache.load_circuit("cd" + "0" * 62) is None
+    stats = cache.stats()
+    assert stats["hits"] == 1
+    assert stats["misses"] == 1
 
 
 # ------------------------------------------------------------ clear / prune

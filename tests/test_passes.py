@@ -163,6 +163,9 @@ class TestPassManager:
         assert "tcount_nonincreasing" in gate_record.verified
         assert "clifford_t_output" in gate_record.verified
         assert "preserves_types" in cp.pass_records[0].verified
+        lower_record = next(r for r in cp.pass_records if r.name == "lower")
+        assert "declared_width" in lower_record.verified
+        assert "declared_width" in gate_record.verified
 
     def test_verify_catches_type_breaking_ir_pass(self, length_source):
         @register_pass
@@ -218,6 +221,35 @@ class TestPassManager:
             assert err.value.invariant == "tcount_nonincreasing"
         finally:
             unregister_pass("test-raise-t")
+
+    def test_verify_catches_gate_past_declared_width(self, length_source):
+        @register_pass
+        class _Overflow(Pass):
+            """Test-only: appends a gate on the qubit past the width."""
+
+            name = "test-overflow-width"
+            stage = GATES
+            invariants = frozenset()
+
+            def apply(self, ctx):
+                from repro.circuit import Circuit, x
+
+                circuit = ctx.circuit
+                gates = list(circuit.gates) + [x(circuit.num_qubits)]
+                ctx.circuit = Circuit(
+                    circuit.num_qubits, gates, dict(circuit.registers)
+                )
+
+        try:
+            with pytest.raises(PassVerificationError) as err:
+                compile_source(
+                    length_source, "length", 2, CFG,
+                    "none+test-overflow-width", verify=True,
+                )
+            assert err.value.pass_name == "test-overflow-width"
+            assert err.value.invariant == "declared_width"
+        finally:
+            unregister_pass("test-overflow-width")
 
     def test_unverified_pipeline_skips_checks(self, length_source):
         cp = compile_source(length_source, "length", 2, CFG, "spire")

@@ -120,7 +120,14 @@ class TestRoundTrip:
         blob = dump_bytes(Circuit(3, [Gate(GateKind.MCX, (0,), (1,))]))
         magic_len = 6
         (header_len,) = struct_mod.unpack_from("<I", blob, magic_len)
+        # the constructor trusts the header's width: a qubit id outside
+        # it is corruption, caught at the loader
+        header = json_mod.loads(blob[magic_len + 4 : magic_len + 4 + header_len])
+        narrow = json_mod.dumps({**header, "num_qubits": 1}).encode("utf-8")
         corrupt = [
+            blob[:magic_len] + struct_mod.pack("<I", len(narrow)) + narrow
+            + blob[magic_len + 4 + header_len:],
+            blob[:-4] + struct_mod.pack("<i", -1),  # negative qubit id
             blob[: magic_len + 2],  # truncated inside the header length
             # valid JSON header missing required keys
             blob[:magic_len] + struct_mod.pack("<I", 2) + b"{}"

@@ -13,9 +13,11 @@ Results (per-point wall clock, bit-for-bit output checks, and aggregate
 speedups) are written to ``BENCH_perf.json`` at the repository root so future
 PRs have a perf trajectory to compare against.
 
-The ``kernels`` section times each batch kernel against its pure-Python
-fallback (compiled cancel fixpoint, compiled fold classifier, plan-batched
-``unitary``) and records the batch statistics behind the wins; the
+The ``kernels`` section times the Clifford+T expansion apart from the
+sweeps, then each batch kernel against its pure-Python fallback (compiled
+cancel fixpoint, compiled fold classifier, plan-batched ``unitary``) on the
+expansion's row-id stream, and records the batch statistics behind the
+wins; the
 ``--guard`` mode re-measures the per-pass breakdown and fails on any pass
 more than 25% slower than the committed ``BENCH_perf.json`` row.
 
@@ -194,23 +196,23 @@ def _passes_section(mode: str) -> list:
 def _kernels_section(mode: str) -> dict:
     """Per-kernel timings: compiled extension vs pure-Python fallbacks.
 
-    Times each batch kernel against its fallback on the same inputs —
+    Times the Clifford+T expansion apart from the sweeps (row-id stream
+    vs the frozen per-gate loop ``reference.expand_toffolis_seed``), then
+    each batch kernel against its fallback on the expansion's stream —
     the cancel fixpoint (C vs vectorized Python), the grouped phase fold
     (against the frozen seed sweep ``reference.fold_phases_seed``), and
-    the plan-batched
-    ``unitary`` (one sweep per diagonal/permutation run vs per-gate) —
-    and records the batch statistics (stream sizes, distinct parities,
-    mix-run lengths) that explain the wins.  Purely informational: the
-    acceptance thresholds live in the seed-vs-current summary.
+    the plan-batched ``unitary`` (one sweep per diagonal/permutation run
+    vs per-gate) — and records the batch statistics (stream sizes, table
+    rows, distinct parities, mix-run lengths) that explain the wins.
+    Purely informational: the acceptance thresholds live in the
+    seed-vs-current summary.
     """
     from repro import _kernels
     from repro.benchsuite import get_entry, get_source
     from repro.circopt.cancel import _cancel_to_fixpoint_pure
-    from repro.circopt.phase_poly import (
-        _fold_packed_keys_python,
-        _fold_stream_grouped,
-    )
+    from repro.circopt.phase_poly import _fold_packed_keys_python, fold_stream
     from repro.circuit import statevector as sv
+    from repro.circuit.decompose import clifford_t_stream, expand_toffolis, to_toffoli
     from repro.circuit.gatestream import GateStream
     from repro.compiler import compile_source
 
@@ -218,18 +220,36 @@ def _kernels_section(mode: str) -> dict:
     compiled = compile_source(
         get_source(name), get_entry(name), depth, CONFIG, "spire"
     )
-    ct = to_clifford_t(compiled.circuit)
-    gates = ct.gates
+    toffoli_level = to_toffoli(compiled.circuit)
+    seed_s, seed_ct = _timed(reference.expand_toffolis_seed, toffoli_level)
+    # what a pass paid before its first sweep: the seed loop, then packing
+    pack_s, _ = _timed(GateStream.from_circuit, seed_ct)
+    # the stream expansion packs only the templates (and gathers the gates)
+    stream_s, ct = _timed(expand_toffolis, toffoli_level)
+    stream = clifford_t_stream(compiled.circuit)
+    expansion = {
+        "input": f"{name}@{depth} toffoli level",
+        "toffoli_gates": len(toffoli_level.gates),
+        "gates": len(stream),
+        "table_rows": len(stream.table),
+        "seed_seconds": round(seed_s, 4),
+        "seed_and_pack_seconds": round(seed_s + pack_s, 4),
+        "stream_seconds": round(stream_s, 4),
+        "speedup_vs_seed_and_pack": (
+            round((seed_s + pack_s) / stream_s, 2) if stream_s else None
+        ),
+        "identical_gates": ct.gates == seed_ct.gates,
+    }
 
-    pure_s, pure_out = _timed(_cancel_to_fixpoint_pure, list(gates), 64, 20)
+    pure_s, pure_rows = _timed(_cancel_to_fixpoint_pure, stream, 64, 20)
     ext_s = ext_speedup = ext_identical = None
     if _kernels.extension_available():
-        ext_s, ext_out = _timed(_kernels.cancel_fixpoint, list(gates), 64, 20)
+        ext_s, ext_rows = _timed(_kernels.cancel_fixpoint, stream, 64, 20)
         ext_speedup = round(pure_s / ext_s, 2) if ext_s else None
-        ext_identical = ext_out == pure_out
+        ext_identical = bool(np.array_equal(ext_rows, pure_rows))
     cancel = {
-        "input": f"{name}@{depth} clifford+t",
-        "gates": len(gates),
+        "input": f"{name}@{depth} clifford+t stream",
+        "gates": len(stream),
         "pure_seconds": round(pure_s, 4),
         "extension_seconds": round(ext_s, 4) if ext_s is not None else None,
         "extension_speedup": ext_speedup,
@@ -237,24 +257,21 @@ def _kernels_section(mode: str) -> dict:
     }
 
     seed_s, seed_out = _timed(reference.fold_phases_seed, ct)
-    # packing included, like the seed, which also starts from the circuit
-    grouped_s, grouped_out = _timed(
-        lambda: _fold_stream_grouped(GateStream.from_gates(gates, ct.num_qubits))
-    )
-    stream = GateStream.from_gates(gates, ct.num_qubits)
+    # the seed starts from the circuit; the pass hands the stream along
+    grouped_s, grouped_out = _timed(fold_stream, stream)
     keys = _kernels.fold_classify(stream)
     if keys is None:
         keys = _fold_packed_keys_python(stream)
     nonempty = keys[keys >= 0]
     fold = {
-        "input": f"{name}@{depth} clifford+t",
-        "gates": len(gates),
+        "input": f"{name}@{depth} clifford+t stream",
+        "gates": len(stream),
         "phase_gates": int(len(keys)),
         "distinct_parities": int(len(np.unique(nonempty >> 1))),
         "seed_seconds": round(seed_s, 4),
         "grouped_seconds": round(grouped_s, 4),
         "speedup_vs_seed": round(seed_s / grouped_s, 2) if grouped_s else None,
-        "identical_gates": grouped_out == seed_out.gates,
+        "identical_gates": grouped_out.gates == seed_out.gates,
     }
 
     n = 8 if mode == "quick" else 10
@@ -288,6 +305,7 @@ def _kernels_section(mode: str) -> dict:
     return {
         "extension_available": _kernels.extension_available(),
         "extension_status": _kernels.extension_status(),
+        "clifford_t_expansion": expansion,
         "cancel_fixpoint": cancel,
         "phase_fold": fold,
         "statevector": statevector,
@@ -401,6 +419,8 @@ def _print_report(report: dict) -> None:
     kernels = report["kernels"]
     print(
         f"kernels: extension={'on' if kernels['extension_available'] else 'off'} "
+        f"expand={kernels['clifford_t_expansion']['speedup_vs_seed_and_pack']}x "
+        "vs seed+pack "
         f"cancel={kernels['cancel_fixpoint']['extension_speedup']}x "
         f"fold={kernels['phase_fold']['speedup_vs_seed']}x vs seed "
         f"unitary={kernels['statevector']['unitary_speedup']}x"
@@ -424,6 +444,8 @@ def _check(report: dict) -> list:
                 f"pipeline {entry['pipeline']} produced no pass records"
             )
     kernels = report["kernels"]
+    if not kernels["clifford_t_expansion"]["identical_gates"]:
+        failures.append("stream expansion differs from the seed Figure 6 loop")
     if kernels["cancel_fixpoint"]["identical_gates"] is False:
         failures.append("compiled cancel kernel output differs from fallback")
     if not kernels["phase_fold"]["identical_gates"]:

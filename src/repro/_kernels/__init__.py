@@ -4,9 +4,10 @@ This package holds the plain-C implementations of the two innermost
 optimizer scans — the cancellation stack sweep run to fixpoint
 (``cancel.c``) and the phase-fold parity classifier (``fold.c``) — plus
 the ctypes loader.  Both kernels read the integer columns of one
-:class:`~repro.circuit.gatestream.GateStream`; the only packing done here
-is what is specific to C: appending rows for merged phase gates,
-splitting bitmasks into ``uint64`` words, and the merge-row table.
+:class:`~repro.circuit.gatestream.GateStream` as they are: the cancel
+kernel takes the stream's row ids, its table's row columns, mask words
+and merge rows, and returns surviving row ids over the same table; the
+fold classifier takes the per-gate columns.  Nothing is packed here.
 Selection happens once at import time:
 
 * ``REPRO_NO_EXT=1`` in the environment disables the extension outright.
@@ -29,19 +30,17 @@ from __future__ import annotations
 
 import ctypes
 import os
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..circuit.gates import Gate
+    from ..circuit.gatestream import GateStream
 
 #: ABI stamp expected from the shared object; must match
 #: ``REPRO_KERNELS_ABI`` in ``cancel.c``.  A stale .so from an older
 #: checkout is ignored rather than trusted.
 KERNELS_ABI = 1
-
-_MASK64 = (1 << 64) - 1
 
 _lib: Optional[ctypes.CDLL] = None
 _load_attempted = False
@@ -143,121 +142,84 @@ def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ctypes.POINTER(ctype))
 
 
-def _mask_words(masks: list, words: int) -> np.ndarray:
-    """Python-int bitmasks as little-endian ``uint64`` words, one row each."""
-    out = np.empty((len(masks), words), dtype=np.uint64)
-    for w in range(words):
-        shift = 64 * w
-        out[:, w] = [(mask >> shift) & _MASK64 for mask in masks]
-    return out
-
-
 def cancel_fixpoint(
-    gates: Sequence["Gate"], window: int, max_passes: int
-) -> Optional[list]:
+    stream: "GateStream", window: int, max_passes: int
+) -> Optional[np.ndarray]:
     """Run the cancel fixpoint through the compiled kernel.
 
-    Returns the surviving gate list, or ``None`` when the extension is
-    unavailable or declines the input (the caller then falls back to the
-    pure-Python sweep).  Output gates compare equal to the fallback's —
-    merged phase gates come from the same memoized builders.
+    Returns the surviving row ids over ``stream.table``, or ``None`` when
+    the extension is unavailable or declines the input (the caller then
+    falls back to the pure-Python sweep).  Merged phase gates are the
+    table's phase rows, addressed through its ``merge_rows``.
     """
     lib = _get_lib()
     if lib is None:
         return None
-    n = len(gates)
+    n = len(stream.rows)
     if n == 0 or max_passes <= 0:
         return None
-    from ..circuit.gates import EIGHTHS_TO_KINDS, GateKind, phase_gate
-    from ..circuit.gatestream import INVERSE_CODES, GateStream
+    from ..circuit.gatestream import INVERSE_CODES
 
-    stream = GateStream.from_gates(gates)
-    num_qubits = stream.num_qubits
-    words = (num_qubits + 63) // 64
-
-    # Rows for every merged phase gate the sweep can emit (phase kind x
-    # qubit), appended after the stream's rows so the C sweep addresses
-    # them by row id.  Their ordinals agree with the stream's: a gate
-    # with one target and no controls has ordinal ~target in every stream.
-    phase_kinds = (GateKind.T, GateKind.TDG, GateKind.S, GateKind.SDG, GateKind.Z)
-    merged = GateStream.from_gates(
-        [phase_gate(kind, q) for kind in phase_kinds for q in range(num_qubits)]
-    )
-    tables = (stream, merged)
-    objs = stream.row_gates + merged.row_gates
-    kinds = np.concatenate([t.row_kinds for t in tables])
+    table = stream.table
+    cm, tm, qm = table.mask_words()
+    kinds = table.kinds
     invk = np.array(INVERSE_CODES, dtype=np.uint8)[kinds]
-    ph = np.concatenate([t.row_eighths for t in tables])
-    ords = np.concatenate([t.row_ords for t in tables])
-    tgt = np.concatenate([t.row_tgt0 for t in tables])
-    cm = _mask_words(stream.row_control_mask + merged.row_control_mask, words)
-    tm = _mask_words(stream.row_target_mask + merged.row_target_mask, words)
-    qm = cm | tm
-
-    merged_rows = (len(stream.row_gates) + merged.rows).reshape(
-        len(phase_kinds), num_qubits
-    )
-    merge_rows = np.full((8, num_qubits, 2), -1, dtype=np.int64)
-    for eighths in range(8):
-        for j, kind in enumerate(EIGHTHS_TO_KINDS[eighths]):
-            merge_rows[eighths, :, j] = merged_rows[phase_kinds.index(kind)]
-
+    rows = np.ascontiguousarray(stream.rows, dtype=np.int64)
     out_rows = np.empty(n, dtype=np.int64)
     res = lib.repro_cancel_fixpoint(
         n,
-        _ptr(stream.rows, ctypes.c_int64),
-        words,
+        _ptr(rows, ctypes.c_int64),
+        cm.shape[1],
         _ptr(kinds, ctypes.c_uint8),
         _ptr(invk, ctypes.c_uint8),
-        _ptr(ph, ctypes.c_int8),
-        _ptr(ords, ctypes.c_int64),
-        _ptr(tgt, ctypes.c_int32),
+        _ptr(table.phase_eighths, ctypes.c_int8),
+        _ptr(table.ords, ctypes.c_int64),
+        _ptr(table.tgt0, ctypes.c_int32),
         _ptr(cm, ctypes.c_uint64),
         _ptr(tm, ctypes.c_uint64),
         _ptr(qm, ctypes.c_uint64),
-        num_qubits,
-        _ptr(merge_rows, ctypes.c_int64),
+        table.num_qubits,
+        _ptr(table.merge_rows, ctypes.c_int64),
         window,
         max_passes,
         _ptr(out_rows, ctypes.c_int64),
     )
     if res < 0:
         return None
-    return [objs[r] for r in out_rows[:res].tolist()]
+    return out_rows[:res]
 
 
-def fold_classify(stream) -> Optional[np.ndarray]:
+def fold_classify(stream: "GateStream") -> Optional[np.ndarray]:
     """Classify phase gates by parity through the compiled kernel.
 
     Returns an int64 array with one entry per uncontrolled phase gate in
     stream order — ``parity_id * 2 + affine_const``, or ``-1`` when the
     parity is empty — or ``None`` when the extension is unavailable or
     the stream contains gates the packed columns cannot describe (the
-    caller then runs the pure-Python wire-state sweep).
+    caller then runs the pure-Python wire-state sweep).  Every qubit is
+    inside the table's width: the packer checks that.
     """
     lib = _get_lib()
     if lib is None:
         return None
-    n = len(stream.gates)
+    n = len(stream.rows)
     eighths = stream.phase_eighths
     phase_count = int(np.count_nonzero(eighths >= 0))
     if n == 0 or phase_count == 0:
         return np.empty(0, dtype=np.int64)
+    # the gathered columns are fresh arrays: hold them for the call
+    kinds, num_controls = stream.kinds, stream.num_controls
     ctrl0, tgt0, tgt1 = stream.ctrl0, stream.tgt0, stream.tgt1
-    num_qubits = stream.num_qubits
-    highest = max(int(ctrl0.max()), int(tgt0.max()), int(tgt1.max()))
-    if highest >= num_qubits:
-        return None  # stream wider than declared; let Python handle it
     out_keys = np.empty(phase_count, dtype=np.int64)
     res = lib.repro_fold_classify(
         n,
-        _ptr(stream.kinds, ctypes.c_uint8),
-        _ptr(stream.num_controls, ctypes.c_int32),
+        _ptr(kinds, ctypes.c_uint8),
+        _ptr(num_controls, ctypes.c_int32),
         _ptr(ctrl0, ctypes.c_int32),
         _ptr(tgt0, ctypes.c_int32),
         _ptr(tgt1, ctypes.c_int32),
         _ptr(eighths, ctypes.c_int8),
-        num_qubits,
+        stream.num_qubits,
         _ptr(out_keys, ctypes.c_int64),
     )
     if res < 0:

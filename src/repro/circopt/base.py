@@ -33,8 +33,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import DecompositionCache, to_clifford_t, to_toffoli
+from ..circuit.decompose import DecompositionCache, clifford_t_stream, to_toffoli
 from ..circuit.gates import Gate, GateKind, PHASE_KINDS
+from ..circuit.gatestream import GateStream
 
 
 def gates_commute(a: Gate, b: Gate) -> bool:
@@ -100,11 +101,11 @@ class CircuitOptimizer:
             return self.cache.toffoli(circuit)
         return to_toffoli(circuit)
 
-    def _to_clifford_t(self, circuit: Circuit) -> Circuit:
-        """Clifford+T decomposition, via the shared cache when present."""
+    def _clifford_t_stream(self, circuit: Circuit) -> GateStream:
+        """Clifford+T decomposition as a stream, via the shared cache."""
         if self.cache is not None:
-            return self.cache.clifford_t(circuit)
-        return to_clifford_t(circuit)
+            return self.cache.clifford_t_stream(circuit)
+        return clifford_t_stream(circuit)
 
     def optimize(self, circuit: Circuit) -> OptimizerResult:
         """Run with timing."""

@@ -7,15 +7,18 @@ or an uncontrolled phase gate on the same wire to merge with.
 
 Two implementations produce gate-for-gate identical output (verified by the
 property tests against the frozen sweep in :mod:`repro.reference`).  Both
-read their integers from one :class:`~repro.circuit.gatestream.GateStream`
-and match inverse pairs by its ``(controls, targets)`` ordinal:
+take one :class:`~repro.circuit.gatestream.GateStream`, match inverse pairs
+by its table's ``(controls, targets)`` ordinal, take merged phase gates
+from the table's phase rows, and return surviving row ids over the same
+table (:func:`cancel_stream`):
 
 * The compiled kernel in :mod:`repro._kernels` runs the entire fixpoint in
   C over the stream's row ids and multi-word masks.  It is used when the
   shared object is built and ``REPRO_NO_EXT=1`` is not set.
-* The pure-Python fallback turns each stream row into a small tuple of
-  integers (kind code, inverse-kind code, qubit bitmasks, phase eighths,
-  ordinal) once per fixpoint call and adds a vectorized pre-filter: a
+* The pure-Python fallback turns each table row into a small tuple of
+  integers (row id, kind code, inverse-kind code, qubit bitmasks, phase
+  eighths, ordinal) once per fixpoint call and adds a vectorized
+  pre-filter: a
   whole-array numpy match over the stream's kind/ordinal arrays marks, in
   one shot, every gate that has *no* inverse-pair or phase-merge candidate
   anywhere earlier in the stream.  Those gates can never be placed —
@@ -34,13 +37,12 @@ this behaviour.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import List, Tuple
 
 import numpy as np
 
 from ..circuit.circuit import Circuit
-from ..circuit.gates import EIGHTHS_TO_KINDS, Gate, phase_gate
+from ..circuit.gates import Gate
 from ..circuit.gatestream import (
     FIRST_PHASE_CODE,
     GateStream,
@@ -50,12 +52,13 @@ from ..circuit.gatestream import (
 from .base import CircuitOptimizer, register
 from .. import _kernels
 
-#: Packed gate: (gate, kind, inverse_kind, ctrl_mask, tgt_mask, qubit_mask,
-#: phase_eighths, ordinal, placeable) — ``phase_eighths`` is ``-1`` unless
-#: the gate is an uncontrolled phase gate; ``ordinal`` is the stream's
-#: ``(controls, targets)`` ordinal; ``placeable`` is False when the
-#: vectorized pre-filter proved no earlier partner exists.
-_Entry = Tuple[Gate, int, int, int, int, int, int, int, bool]
+#: Packed gate: (row, kind, inverse_kind, ctrl_mask, tgt_mask, qubit_mask,
+#: phase_eighths, ordinal, placeable) — ``row`` is the gate's row id in the
+#: stream's table; ``phase_eighths`` is ``-1`` unless the gate is an
+#: uncontrolled phase gate; ``ordinal`` is the table's ``(controls,
+#: targets)`` ordinal; ``placeable`` is False when the vectorized
+#: pre-filter proved no earlier partner exists.
+_Entry = Tuple[int, int, int, int, int, int, int, int, bool]
 
 _INVERSE_ARR = np.array(INVERSE_CODES, dtype=np.int64)
 
@@ -94,40 +97,42 @@ def _placeable_flags(
     return placeable
 
 
-def _pack(gates: List[Gate]) -> List[_Entry]:
-    """Pack gates into integer tuples: one per stream row, gathered per gate."""
-    stream = GateStream.from_gates(gates)
-    row_ords = stream.row_ords.tolist()
+def _pack(stream: GateStream) -> Tuple[List[_Entry], List[List[tuple]]]:
+    """Integer tuples per gate (built once per table row), and merge entries.
+
+    ``merged[e][q]`` packs the table's phase rows for the minimal phase
+    sequence worth ``e`` eighth-turns on qubit ``q``.
+    """
+    table = stream.table
     row_entries = [
-        (gate, kind, INVERSE_CODES[kind], cm, tm, cm | tm, ph, o)
-        for gate, kind, cm, tm, ph, o in zip(
-            stream.row_gates,
-            stream.row_kinds.tolist(),
-            stream.row_control_mask,
-            stream.row_target_mask,
-            stream.row_eighths.tolist(),
-            row_ords,
+        (row, kind, INVERSE_CODES[kind], cm, tm, cm | tm, ph, o)
+        for row, (kind, cm, tm, ph, o) in enumerate(
+            zip(
+                table.kinds.tolist(),
+                [gate.control_mask for gate in table.gates.tolist()],
+                [gate.target_mask for gate in table.gates.tolist()],
+                table.phase_eighths.tolist(),
+                table.ords.tolist(),
+            )
         )
     ]
     flags = _placeable_flags(
-        stream.kinds.astype(np.int64),
-        stream.phase_eighths,
-        stream.row_ords[stream.rows],
+        stream.kinds.astype(np.int64), stream.phase_eighths, stream.ords
     )
-    return [
+    entries = [
         row_entries[r] + (flag,)
         for r, flag in zip(stream.rows.tolist(), flags.tolist())
     ]
+    merged = [
+        [tuple(row_entries[r] + (True,) for r in pair if r >= 0) for pair in qubits]
+        for qubits in table.merge_rows.tolist()
+    ]
+    return entries, merged
 
 
-@lru_cache(maxsize=None)
-def _merged_phase_entries(eighths: int, target: int) -> Tuple[_Entry, ...]:
-    """Packed entries for the minimal phase sequence worth ``eighths``."""
-    gates = [phase_gate(kind, target) for kind in EIGHTHS_TO_KINDS[eighths]]
-    return tuple(entry[:-1] + (True,) for entry in _pack(gates))
-
-
-def _cancel_pass_packed(entries: List[_Entry], window: int) -> List[_Entry]:
+def _cancel_pass_packed(
+    entries: List[_Entry], window: int, merged: List[List[tuple]]
+) -> List[_Entry]:
     """One stack sweep over packed gates; integer comparisons only.
 
     Mirrors the reference sweep exactly: inverse-pair check first, then
@@ -140,19 +145,20 @@ def _cancel_pass_packed(entries: List[_Entry], window: int) -> List[_Entry]:
         if not entry[8]:
             out.append(entry)
             continue
-        gate, kind, _inv, cm, tm, qm, ph, ordinal, _flag = entry
+        _row, kind, _inv, cm, tm, qm, ph, ordinal, _flag = entry
         k = len(out) - 1
         steps = 0
         placed = False
         while k >= 0 and steps < window:
             prev = out[k]
-            _pgate, pkind, pinv, pcm, ptm, pqm, pph, pord, _pflag = prev
+            _prow, pkind, pinv, pcm, ptm, pqm, pph, pord, _pflag = prev
             if pinv == kind and pord == ordinal:
                 del out[k]
                 placed = True
                 break
             if ph >= 0 and pph >= 0 and ptm == tm:
-                out[k : k + 1] = _merged_phase_entries((pph + ph) % 8, gate.targets[0])
+                # an uncontrolled phase gate's ordinal is ~target
+                out[k : k + 1] = merged[(pph + ph) % 8][~ordinal]
                 placed = True
                 break
             # inlined gates_commute(prev, gate)
@@ -188,43 +194,57 @@ def _cancel_pass_packed(entries: List[_Entry], window: int) -> List[_Entry]:
     return out
 
 
+def _entry_rows(entries: List[_Entry]) -> np.ndarray:
+    return np.fromiter((entry[0] for entry in entries), np.int64, len(entries))
+
+
 def cancel_pass(gates: List[Gate], window: int = 64) -> List[Gate]:
     """One stack sweep of cancellation and phase merging."""
-    return [entry[0] for entry in _cancel_pass_packed(_pack(list(gates)), window)]
+    stream = GateStream.from_gates(gates)
+    entries, merged = _pack(stream)
+    return stream.with_rows(
+        _entry_rows(_cancel_pass_packed(entries, window, merged))
+    ).gates
 
 
 def _cancel_to_fixpoint_pure(
-    gates: List[Gate], window: int, max_passes: int
-) -> List[Gate]:
-    """Pure-Python fixpoint: pack once, reuse packed entries across passes.
+    stream: GateStream, window: int, max_passes: int
+) -> np.ndarray:
+    """Pure-Python fixpoint over a stream; returns the surviving row ids.
 
     The packed tuples (and their placeability flags) survive between
     iterations — merged phase gates enter as pre-packed entries — so no
     pass ever re-derives masks or re-runs the pre-filter.
     """
-    current = _pack(list(gates))
+    current, merged = _pack(stream)
     for _ in range(max_passes):
-        reduced = _cancel_pass_packed(current, window)
+        reduced = _cancel_pass_packed(current, window, merged)
         if len(reduced) == len(current):
-            return [entry[0] for entry in reduced]
+            return _entry_rows(reduced)
         current = reduced
-    return [entry[0] for entry in current]
+    return _entry_rows(current)
+
+
+def cancel_stream(
+    stream: GateStream, window: int = 64, max_passes: int = 20
+) -> GateStream:
+    """Iterate the cancellation sweep to fixpoint over a stream's rows.
+
+    Dispatches to the compiled kernel when available (see
+    :mod:`repro._kernels`); otherwise runs the vectorized pure-Python
+    sweep.  Both return identical row ids over the stream's table.
+    """
+    rows = _kernels.cancel_fixpoint(stream, window, max_passes)
+    if rows is None:
+        rows = _cancel_to_fixpoint_pure(stream, window, max_passes)
+    return stream.with_rows(rows)
 
 
 def cancel_to_fixpoint(
     gates: List[Gate], window: int = 64, max_passes: int = 20
 ) -> List[Gate]:
-    """Iterate :func:`cancel_pass` until no gate is removed.
-
-    Dispatches to the compiled kernel when available (see
-    :mod:`repro._kernels`); otherwise runs the vectorized pure-Python
-    sweep.  Both produce identical gate lists.
-    """
-    gates = list(gates)
-    result = _kernels.cancel_fixpoint(gates, window, max_passes)
-    if result is not None:
-        return result
-    return _cancel_to_fixpoint_pure(gates, window, max_passes)
+    """Iterate :func:`cancel_pass` until no gate is removed."""
+    return cancel_stream(GateStream.from_gates(gates), window, max_passes).gates
 
 
 @register
@@ -242,6 +262,5 @@ class CliffordTPeephole(CircuitOptimizer):
         self.window = window
 
     def run(self, circuit: Circuit) -> Circuit:
-        clifford_t = self._to_clifford_t(circuit)
-        gates = cancel_to_fixpoint(clifford_t.gates, self.window)
-        return Circuit(clifford_t.num_qubits, gates, dict(clifford_t.registers))
+        stream = self._clifford_t_stream(circuit)
+        return cancel_stream(stream, self.window).to_circuit()

@@ -19,10 +19,12 @@ circuit's history:
   later occurrences fold into it and disappear.  A parity over an empty
   variable set is itself a global phase and is dropped.
 
-:func:`fold_phases` drives the sweep from the packed arrays of
+:func:`fold_stream` drives the sweep from the packed arrays of
 :class:`~repro.circuit.gatestream.GateStream` — gate dispatch is an integer
-compare instead of enum identity plus set membership — and folds and
-materializes the placeholders with whole-array operations.  Its output is
+compare instead of enum identity plus set membership — folds with
+whole-array operations, and returns row ids over the stream's table (a
+placeholder becomes one or two of its phase rows); :func:`fold_phases` is
+the circuit-level wrapper.  Its output is
 identical to the retained seed implementation in :mod:`repro.reference`
 (the property tests check this).
 
@@ -35,15 +37,14 @@ simulation on random circuits.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, List
 
 import numpy as np
 
 from ..circuit.circuit import Circuit
-from ..circuit.gates import EIGHTHS_TO_KINDS, Gate, phase_gate
 from ..circuit.gatestream import GateStream, MCX_CODE, SWAP_CODE
 from .base import CircuitOptimizer, register
-from .cancel import cancel_to_fixpoint
+from .cancel import cancel_stream
 from .. import _kernels
 
 
@@ -116,35 +117,8 @@ def _fold_packed_keys_python(stream: GateStream) -> np.ndarray:
     return packed
 
 
-#: Per-width lookup tables for batch placeholder materialization:
-#: ``lut1[value, qubit]`` / ``lut2[value, qubit]`` hold the first/second
-#: gate of the minimal phase sequence worth ``value`` eighth-turns, and
-#: ``two[value]`` flags the two-gate sequences (3 and 5 eighths).
-_PHASE_LUTS: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _phase_luts(num_qubits: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    luts = _PHASE_LUTS.get(num_qubits)
-    if luts is None:
-        lut1 = np.empty((8, num_qubits), dtype=object)
-        lut2 = np.empty((8, num_qubits), dtype=object)
-        two = np.zeros(8, dtype=bool)
-        for value in range(1, 8):
-            seq = EIGHTHS_TO_KINDS[value]
-            two[value] = len(seq) == 2
-            for q in range(num_qubits):
-                lut1[value, q] = phase_gate(seq[0], q)
-                if len(seq) == 2:
-                    lut2[value, q] = phase_gate(seq[1], q)
-        if len(_PHASE_LUTS) >= 64:  # mixed-width fuzz sweeps: stay bounded
-            _PHASE_LUTS.pop(next(iter(_PHASE_LUTS)))
-        luts = (lut1, lut2, two)
-        _PHASE_LUTS[num_qubits] = luts
-    return luts
-
-
-def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
-    """Phase-fold a packed stream via array-level grouping.
+def _fold_stream_grouped(stream: GateStream) -> np.ndarray:
+    """Phase-fold a packed stream via array-level grouping; returns row ids.
 
     Produces output identical to the one-gate-at-a-time sweep
     (:func:`repro.reference.fold_phases_seed`), but only the wire state
@@ -155,18 +129,15 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     ``np.unique`` over the parity ids groups equal parities with their
     first-occurrence position (where the reference sweep emits the
     placeholder), ``bincount`` folds the adjusted eighth-turns of every
-    group in one shot, placeholders materialize through per-width gate
-    lookup tables, and one ``argsort`` splices them back in position
-    order.
+    group in one shot, placeholders become the table's phase rows through
+    its ``merge_rows``, and one integer ``argsort`` splices them back in
+    position order.
     """
-    gates = stream.gates
-    n = len(gates)
-    if n == 0:
-        return []
+    rows = stream.rows
     eighths = stream.phase_eighths
     phase_sel = eighths >= 0
     if not bool(phase_sel.any()):
-        return list(gates)
+        return rows
 
     packed = _kernels.fold_classify(stream)
     if packed is None:
@@ -181,11 +152,9 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     pph = pph[keep]
     packed = packed[keep]
 
-    gates_arr = np.empty(n, dtype=object)
-    gates_arr[:] = gates
-    nonphase_arr = gates_arr[nonphase_pos]
+    nonphase_rows = rows[nonphase_pos]
     if len(phase_pos) == 0:
-        return nonphase_arr.tolist()
+        return nonphase_rows
 
     # per-occurrence adjustment: a set constant offset is a global phase
     pconst = packed & 1
@@ -198,32 +167,28 @@ def _fold_stream_grouped(stream: GateStream) -> List[Gate]:
     const0 = pconst[first]
     final8 = np.where(const0 != 0, (8 - sums) % 8, sums)
     pos0 = phase_pos[first]
-    qubit0 = stream.tgt0[pos0].astype(np.int64)
 
-    # materialize placeholders by table lookup; order keys are
-    # 2*position (+1 for the second gate of a two-gate phase sequence),
-    # so one sort against the even-keyed non-phase gates reproduces the
-    # reference order
-    lut1, lut2, two8 = _phase_luts(stream.num_qubits)
+    # materialize placeholders as phase rows; order keys are 2*position
+    # (+1 for the second gate of a two-gate phase sequence), so one sort
+    # against the even-keyed non-phase gates reproduces the reference order
     nz = np.nonzero(final8)[0]
-    value = final8[nz]
-    vq = qubit0[nz]
-    base = pos0[nz] * 2
-    second = two8[value]
-    mat_keys = np.concatenate([base, base[second] + 1])
-    mat_gates = np.concatenate([lut1[value, vq], lut2[value[second], vq[second]]])
+    pos0 = pos0[nz]
+    pair = stream.table.merge_rows[final8[nz], stream.table.tgt0[rows[pos0]]]
+    second = pair[:, 1] >= 0
+    base = pos0 * 2
+    keys = np.concatenate([nonphase_pos * 2, base, base[second] + 1])
+    merged = np.concatenate([nonphase_rows, pair[:, 0], pair[second, 1]])
+    return merged[np.argsort(keys)]
 
-    all_keys = np.concatenate([nonphase_pos * 2, mat_keys])
-    merged = np.concatenate([nonphase_arr, mat_gates])
-    return merged[np.argsort(all_keys)].tolist()
+
+def fold_stream(stream: GateStream) -> GateStream:
+    """One phase-folding sweep over a stream's rows."""
+    return stream.with_rows(_fold_stream_grouped(stream))
 
 
 def fold_phases(circuit: Circuit) -> Circuit:
     """Apply one phase-folding sweep to a Clifford+T circuit."""
-    stream = GateStream.from_gates(circuit.gates, circuit.num_qubits)
-    return Circuit(
-        circuit.num_qubits, _fold_stream_grouped(stream), dict(circuit.registers)
-    )
+    return fold_stream(GateStream.from_circuit(circuit)).to_circuit()
 
 
 @register
@@ -241,8 +206,5 @@ class RotationMerging(CircuitOptimizer):
         self.window = window
 
     def run(self, circuit: Circuit) -> Circuit:
-        clifford_t = self._to_clifford_t(circuit)
-        folded = fold_phases(clifford_t)
-        gates = cancel_to_fixpoint(folded.gates, self.window)
-        folded2 = fold_phases(Circuit(folded.num_qubits, gates, dict(folded.registers)))
-        return folded2
+        stream = fold_stream(self._clifford_t_stream(circuit))
+        return fold_stream(cancel_stream(stream, self.window)).to_circuit()

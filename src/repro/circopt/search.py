@@ -21,8 +21,8 @@ import time
 
 from ..circuit.circuit import Circuit
 from .base import CircuitOptimizer, register
-from .cancel import cancel_to_fixpoint
-from .phase_poly import fold_phases
+from .cancel import cancel_stream
+from .phase_poly import fold_stream
 
 
 @register
@@ -40,23 +40,17 @@ class GreedySearch(CircuitOptimizer):
         self.timeout = timeout
         self.preprocess_only = preprocess_only
 
-    def preprocess(self, circuit: Circuit) -> Circuit:
-        """Rotation merging (the Quartz preprocessing phase)."""
-        return fold_phases(self._to_clifford_t(circuit))
-
     def run(self, circuit: Circuit) -> Circuit:
-        current = self.preprocess(circuit)
+        # preprocessing: rotation merging
+        current = fold_stream(self._clifford_t_stream(circuit))
         if self.preprocess_only:
-            return current
+            return current.to_circuit()
         deadline = time.monotonic() + self.timeout
         window = 16
         while time.monotonic() < deadline:
-            gates = cancel_to_fixpoint(current.gates, window)
-            next_circuit = fold_phases(
-                Circuit(current.num_qubits, gates, dict(current.registers))
-            )
-            if len(next_circuit.gates) == len(current.gates) and window > 1024:
+            following = fold_stream(cancel_stream(current, window))
+            if len(following) == len(current) and window > 1024:
                 break
-            current = next_circuit
+            current = following
             window *= 4
-        return current
+        return current.to_circuit()

@@ -15,9 +15,10 @@ self-inverse gates to fixpoint -> decompose surviving Toffolis (Figure 6)
 from __future__ import annotations
 
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import expand_toffolis
+from ..circuit.decompose import expand_stream
+from ..circuit.gatestream import GateStream
 from .base import CircuitOptimizer, register
-from .cancel import cancel_to_fixpoint
+from .cancel import cancel_stream
 
 
 @register
@@ -34,10 +35,6 @@ class ToffoliCancel(CircuitOptimizer):
         self.window = window
 
     def run(self, circuit: Circuit) -> Circuit:
-        toffoli_level = self._to_toffoli(circuit)
-        reduced = cancel_to_fixpoint(toffoli_level.gates, self.window)
-        clifford_t = expand_toffolis(
-            Circuit(toffoli_level.num_qubits, reduced, toffoli_level.registers)
-        )
-        final = cancel_to_fixpoint(clifford_t.gates, self.window)
-        return Circuit(clifford_t.num_qubits, final, clifford_t.registers)
+        toffoli_level = GateStream.from_circuit(self._to_toffoli(circuit))
+        reduced = cancel_stream(toffoli_level, self.window)
+        return cancel_stream(expand_stream(reduced), self.window).to_circuit()

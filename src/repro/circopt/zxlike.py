@@ -18,11 +18,22 @@ wide scan windows:
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..circuit.circuit import Circuit
-from ..circuit.decompose import expand_toffolis
+from ..circuit.decompose import expand_stream
+from ..circuit.gates import GateKind
+from ..circuit.gatestream import KIND_CODES, GateStream
 from .base import CircuitOptimizer, register
-from .cancel import cancel_to_fixpoint
-from .phase_poly import fold_phases
+from .cancel import cancel_stream
+from .phase_poly import fold_stream
+
+_T_CODES = (KIND_CODES[GateKind.T], KIND_CODES[GateKind.TDG])
+
+
+def _t_count(stream: GateStream) -> int:
+    kinds = stream.kinds
+    return int(np.count_nonzero((kinds == _T_CODES[0]) | (kinds == _T_CODES[1])))
 
 
 @register
@@ -39,16 +50,11 @@ class ZXLike(CircuitOptimizer):
         self.window = window
 
     def run(self, circuit: Circuit) -> Circuit:
-        toffoli_level = self._to_toffoli(circuit)
-        reduced = cancel_to_fixpoint(toffoli_level.gates, self.window)
-        current = expand_toffolis(
-            Circuit(toffoli_level.num_qubits, reduced, toffoli_level.registers)
-        )
+        toffoli_level = GateStream.from_circuit(self._to_toffoli(circuit))
+        current = expand_stream(cancel_stream(toffoli_level, self.window))
         for _ in range(4):
-            before = current.t_count()
-            current = fold_phases(current)
-            gates = cancel_to_fixpoint(current.gates, self.window)
-            current = Circuit(current.num_qubits, gates, dict(current.registers))
-            if current.t_count() == before:
+            before = _t_count(current)
+            current = cancel_stream(fold_stream(current), self.window)
+            if _t_count(current) == before:
                 break
-        return current
+        return current.to_circuit()

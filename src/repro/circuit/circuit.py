@@ -6,6 +6,9 @@ registers (program variables, memory cells, scratch space) to qubit ranges.
 
 The width is a contract: the producer declares it; the constructor trusts
 it; outside input (snapshots, ``.qc`` files) is checked at the loader.
+Nothing widens a circuit afterwards: :meth:`Circuit.add_register` refuses a
+register past the width, and the gate packer
+(:meth:`~repro.circuit.gatestream.GateStream.from_gates`) a gate past it.
 
 The two complexity metrics of the paper are computed here:
 
@@ -54,8 +57,9 @@ class Register:
 class Circuit:
     """An ordered sequence of gates over a declared number of qubits.
 
-    The constructor never scans the gates; only :meth:`add_register`
-    widens a circuit.
+    ``num_qubits`` is the width its producer declares.  Nothing widens a
+    circuit: the constructor never scans the gates, and
+    :meth:`add_register` refuses a register that does not fit.
     """
 
     def __init__(
@@ -70,11 +74,18 @@ class Circuit:
 
     # ----------------------------------------------------------- construction
     def add_register(self, register: Register) -> Register:
-        """Record a named register; returns it for convenience."""
-        self.registers[register.name] = register
+        """Record a named register; returns it for convenience.
+
+        Raises ``ValueError`` when the register reaches past the declared
+        width.
+        """
         end = register.offset + register.width
         if end > self.num_qubits:
-            self.num_qubits = end
+            raise ValueError(
+                f"register {register} ends at qubit {end - 1}, outside the "
+                f"declared width of {self.num_qubits} qubits"
+            )
+        self.registers[register.name] = register
         return register
 
     def copy(self) -> "Circuit":

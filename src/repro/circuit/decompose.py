@@ -13,6 +13,11 @@
 appending ancilla qubits at the top of the wire range.  The number of T gates
 produced by the full pipeline equals :meth:`Circuit.t_complexity` of the
 original MCX-level circuit, which the test suite verifies gate-for-gate.
+
+The Figure 6 step emits a :class:`~repro.circuit.gatestream.GateStream`
+(:func:`expand_stream`, :func:`clifford_t_stream`): the gate passes sweep
+its row ids directly, and :func:`expand_toffolis`/:func:`to_clifford_t`
+are thin wrappers that gather the gates into a :class:`Circuit`.
 """
 
 from __future__ import annotations
@@ -20,9 +25,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import LoweringError
 from .circuit import Circuit, Register
-from .gates import Gate, GateKind, cnot, h, s, sdg, t, tdg, toffoli, x
+from .gates import Gate, GateKind, cnot, h, s, sdg, t, tdg, toffoli
+from .gatestream import GateStream, RowTable, dedupe
 
 
 class _AncillaPool:
@@ -173,16 +181,66 @@ def to_toffoli(circuit: Circuit) -> Circuit:
     return result
 
 
+def _template(gate: Gate) -> Tuple[Gate, ...]:
+    """The Clifford+T gates one Toffoli-level gate expands to."""
+    if gate.kind is GateKind.MCX and len(gate.controls) == 2:
+        a, b = gate.controls
+        return _toffoli_clifford_t(a, b, gate.target)
+    return (gate,)
+
+
+def _expand(
+    row_gates: Sequence[Gate],
+    rows: np.ndarray,
+    num_qubits: int,
+    registers: Dict[str, Register],
+) -> GateStream:
+    """Figure 6 over the gates ``row_gates[rows]``, as a new stream.
+
+    Each distinct row in use maps to a template — the memoized 15-gate
+    sequence for a Toffoli, the gate itself otherwise — and only the
+    template gates are packed into the new table.  The per-gate ``rows``
+    are a numpy gather of the templates' row offsets, so no ``Gate`` list
+    of the expansion is built.
+    """
+    used = np.flatnonzero(np.bincount(rows, minlength=len(row_gates)))
+    templates = [_template(row_gates[r]) for r in used.tolist()]
+    distinct, flat_rows = dedupe(
+        [gate for template in templates for gate in template]
+    )
+    sizes = np.fromiter(map(len, templates), dtype=np.int64, count=len(templates))
+    template_of = np.zeros(len(row_gates), dtype=np.int64)
+    template_of[used] = np.arange(len(used))
+    per_gate = template_of[rows]
+    counts = sizes[per_gate]
+    # gate i's template occupies flat[start[i] : start[i] + counts[i]];
+    # output position p of gate i reads flat[start[i] + p - out_start[i]]
+    start = (np.cumsum(sizes) - sizes)[per_gate]
+    out_start = np.cumsum(counts) - counts
+    gather = np.repeat(start - out_start, counts) + np.arange(int(counts.sum()))
+    return GateStream(RowTable(distinct, num_qubits), flat_rows[gather], registers)
+
+
+def expand_stream(stream: GateStream) -> GateStream:
+    """Apply the Figure 6 rule to every Toffoli of a Toffoli-level stream."""
+    return _expand(
+        stream.table.gates, stream.rows, stream.num_qubits, stream.registers
+    )
+
+
+def _expand_circuit(toffoli_level: Circuit) -> GateStream:
+    distinct, rows = dedupe(toffoli_level.gates)
+    return _expand(distinct, rows, toffoli_level.num_qubits, toffoli_level.registers)
+
+
 def expand_toffolis(toffoli_level: Circuit) -> Circuit:
     """Apply the Figure 6 rule to every Toffoli of a Toffoli-level circuit."""
-    out: List[Gate] = []
-    for gate in toffoli_level.gates:
-        if gate.kind is GateKind.MCX and len(gate.controls) == 2:
-            a, b = gate.controls
-            out.extend(_toffoli_clifford_t(a, b, gate.target))
-        else:
-            out.append(gate)
-    return Circuit(toffoli_level.num_qubits, out, dict(toffoli_level.registers))
+    return _expand_circuit(toffoli_level).to_circuit()
+
+
+def clifford_t_stream(circuit: Circuit) -> GateStream:
+    """The Clifford+T expansion of an MCX-level circuit, as a stream."""
+    return _expand_circuit(to_toffoli(circuit))
 
 
 def to_clifford_t(circuit: Circuit) -> Circuit:
@@ -191,7 +249,7 @@ def to_clifford_t(circuit: Circuit) -> Circuit:
     First reduces to the Toffoli level (:func:`to_toffoli`), then applies the
     Figure 6 rule to every Toffoli.
     """
-    return expand_toffolis(to_toffoli(circuit))
+    return clifford_t_stream(circuit).to_circuit()
 
 
 class DecompositionCache:
@@ -201,8 +259,10 @@ class DecompositionCache:
     several optimizer baselines; each used to re-derive the (large) Toffoli
     and Clifford+T decompositions from scratch.  Entries pin the source
     circuit, so an ``id()`` can never be reused by a different live circuit
-    while its entry exists.  Cached circuits are shared — callers must treat
+    while its entry exists.  Cached results are shared — callers must treat
     them as read-only (all optimizers do; they build fresh output circuits).
+    A Clifford+T entry is the expansion's stream, which the gate passes
+    sweep directly; :meth:`clifford_t` gathers its gates once.
 
     Capacity is bounded (``max_entries`` source circuits per level, oldest
     evicted first): baselines for one compiled circuit run back-to-back, so
@@ -213,32 +273,32 @@ class DecompositionCache:
     def __init__(self, max_entries: int = 8) -> None:
         self.max_entries = max_entries
         self._toffoli: Dict[int, Tuple[Circuit, Circuit]] = {}
-        self._clifford_t: Dict[int, Tuple[Circuit, Circuit]] = {}
+        self._clifford_t: Dict[int, Tuple[Circuit, GateStream]] = {}
 
-    def _put(self, cache: Dict[int, Tuple[Circuit, Circuit]], key, entry) -> None:
-        cache[key] = entry
+    def _lookup(self, cache: Dict[int, tuple], circuit: Circuit, build):
+        key = id(circuit)
+        hit = cache.get(key)
+        if hit is not None and hit[0] is circuit:
+            return hit[1]
+        result = build(circuit)
+        cache[key] = (circuit, result)
         while len(cache) > self.max_entries:
             del cache[next(iter(cache))]  # dicts iterate in insertion order
+        return result
 
     def toffoli(self, circuit: Circuit) -> Circuit:
         """Cached :func:`to_toffoli` of ``circuit``."""
-        key = id(circuit)
-        hit = self._toffoli.get(key)
-        if hit is not None and hit[0] is circuit:
-            return hit[1]
-        result = to_toffoli(circuit)
-        self._put(self._toffoli, key, (circuit, result))
-        return result
+        return self._lookup(self._toffoli, circuit, to_toffoli)
+
+    def clifford_t_stream(self, circuit: Circuit) -> GateStream:
+        """Cached :func:`clifford_t_stream`, built from the cached Toffoli level."""
+        return self._lookup(
+            self._clifford_t, circuit, lambda c: _expand_circuit(self.toffoli(c))
+        )
 
     def clifford_t(self, circuit: Circuit) -> Circuit:
-        """Cached :func:`to_clifford_t`, built from the cached Toffoli level."""
-        key = id(circuit)
-        hit = self._clifford_t.get(key)
-        if hit is not None and hit[0] is circuit:
-            return hit[1]
-        result = expand_toffolis(self.toffoli(circuit))
-        self._put(self._clifford_t, key, (circuit, result))
-        return result
+        """Cached :func:`to_clifford_t` (the cached stream's gates)."""
+        return self.clifford_t_stream(circuit).to_circuit()
 
     def clear(self) -> None:
         self._toffoli.clear()

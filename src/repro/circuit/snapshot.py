@@ -62,7 +62,7 @@ def dump_bytes(circuit: Circuit) -> bytes:
     stream = GateStream.from_gates(circuit.gates, circuit.num_qubits)
     n = len(stream)
     num_targets = np.where(stream.tgt1 >= 0, 2, 1).astype(np.uint8)
-    row_qubits = [gate.qubits for gate in stream.row_gates]
+    row_qubits = [gate.qubits for gate in stream.table.gates.tolist()]
     qubits = np.fromiter(
         chain.from_iterable(map(row_qubits.__getitem__, stream.rows.tolist())),
         dtype=np.int32,

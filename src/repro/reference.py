@@ -10,6 +10,10 @@ two purposes:
 * **A/B benchmarking** — ``benchmarks/bench_perf.py`` times current vs seed
   implementations and records the speedups in ``BENCH_perf.json``.
 
+The Figure 6 expansion loop and the ``toffoli-cancel``/``zx-like``
+pipelines were frozen here when the gate passes moved to row-id streams
+(``tests/test_stream_expansion.py`` compares against them).
+
 Do not "optimize" this module; its value is that it does not change.
 """
 
@@ -22,7 +26,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from .circuit.circuit import Circuit
-from .circuit.decompose import to_clifford_t
+from .circuit.decompose import _toffoli_clifford_t, to_toffoli
 from .circuit.gates import (
     EIGHTHS_TO_KINDS,
     PHASE_EIGHTHS,
@@ -30,6 +34,26 @@ from .circuit.gates import (
     Gate,
     GateKind,
 )
+
+# --------------------------------------------------------------------------
+# seed circuit.decompose.expand_toffolis
+# --------------------------------------------------------------------------
+def expand_toffolis_seed(toffoli_level: Circuit) -> Circuit:
+    """The per-gate Figure 6 loop over a Toffoli-level circuit."""
+    out: List[Gate] = []
+    for gate in toffoli_level.gates:
+        if gate.kind is GateKind.MCX and len(gate.controls) == 2:
+            a, b = gate.controls
+            out.extend(_toffoli_clifford_t(a, b, gate.target))
+        else:
+            out.append(gate)
+    return Circuit(toffoli_level.num_qubits, out, dict(toffoli_level.registers))
+
+
+def to_clifford_t_seed(circuit: Circuit) -> Circuit:
+    """Toffoli level, then the per-gate Figure 6 loop."""
+    return expand_toffolis_seed(to_toffoli(circuit))
+
 
 # --------------------------------------------------------------------------
 # seed circopt.base.gates_commute
@@ -205,17 +229,45 @@ def fold_phases_seed(circuit: Circuit) -> Circuit:
 # --------------------------------------------------------------------------
 def peephole_seed(circuit: Circuit, window: int = 64) -> Circuit:
     """The seed `peephole` baseline pipeline."""
-    clifford_t = to_clifford_t(circuit)
+    clifford_t = to_clifford_t_seed(circuit)
     gates = cancel_to_fixpoint_seed(clifford_t.gates, window)
     return Circuit(clifford_t.num_qubits, gates, dict(clifford_t.registers))
 
 
 def rotation_merge_seed(circuit: Circuit, window: int = 64) -> Circuit:
     """The seed `rotation-merge` baseline pipeline."""
-    clifford_t = to_clifford_t(circuit)
+    clifford_t = to_clifford_t_seed(circuit)
     folded = fold_phases_seed(clifford_t)
     gates = cancel_to_fixpoint_seed(folded.gates, window)
     return fold_phases_seed(Circuit(folded.num_qubits, gates, dict(folded.registers)))
+
+
+def toffoli_cancel_seed(circuit: Circuit, window: int = 64) -> Circuit:
+    """The seed `toffoli-cancel` baseline pipeline."""
+    toffoli_level = to_toffoli(circuit)
+    reduced = cancel_to_fixpoint_seed(toffoli_level.gates, window)
+    clifford_t = expand_toffolis_seed(
+        Circuit(toffoli_level.num_qubits, reduced, toffoli_level.registers)
+    )
+    final = cancel_to_fixpoint_seed(clifford_t.gates, window)
+    return Circuit(clifford_t.num_qubits, final, clifford_t.registers)
+
+
+def zx_like_seed(circuit: Circuit, window: int = 256) -> Circuit:
+    """The seed `zx-like` baseline pipeline."""
+    toffoli_level = to_toffoli(circuit)
+    reduced = cancel_to_fixpoint_seed(toffoli_level.gates, window)
+    current = expand_toffolis_seed(
+        Circuit(toffoli_level.num_qubits, reduced, toffoli_level.registers)
+    )
+    for _ in range(4):
+        before = current.t_count()
+        current = fold_phases_seed(current)
+        gates = cancel_to_fixpoint_seed(current.gates, window)
+        current = Circuit(current.num_qubits, gates, dict(current.registers))
+        if current.t_count() == before:
+            break
+    return current
 
 
 # --------------------------------------------------------------------------

@@ -91,9 +91,10 @@ def test_gatestream_roundtrip_and_wide_masks():
     gates = [toffoli(2, 0, 1), h(3), t(0), swap(1, 3), cnot(100, 0)]
     stream = GateStream.from_gates(gates)
     # mapping every row back to its gate gives the input list
-    assert [stream.row_gates[r] for r in stream.rows.tolist()] == gates
+    assert [stream.table.gates[r] for r in stream.rows.tolist()] == gates
     assert stream.num_qubits == 101  # Python-int masks survive >64 wires
-    assert stream.row_control_mask[stream.rows[4]] == 1 << 100
+    control_words = stream.table.mask_words()[0]
+    assert control_words[stream.rows[4]].tolist() == [0, 1 << 36]
 
 
 # ------------------------------------------------------------- properties
@@ -172,7 +173,7 @@ def test_run_does_not_mutate_caller_state(circ):
 @given(circ=random_clifford_t())
 def test_gatestream_roundtrip_property(circ):
     stream = GateStream.from_gates(circ.gates, circ.num_qubits)
-    assert [stream.row_gates[r] for r in stream.rows.tolist()] == circ.gates
+    assert [stream.table.gates[r] for r in stream.rows.tolist()] == circ.gates
     # the per-gate kind column is the row column gathered by row
     assert [CODE_KINDS[k] for k in stream.kinds.tolist()] == [
         g.kind for g in circ.gates

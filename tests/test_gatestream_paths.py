@@ -65,10 +65,11 @@ def test_cancel_paths_agree_on_program(name, depth, words):
     gates = circuit.gates
     seed = reference.cancel_to_fixpoint_seed(list(gates), 64, 20)
     assert len(seed) < len(gates)  # the sweep has work to do
-    assert _cancel_to_fixpoint_pure(list(gates), 64, 20) == seed
-    compiled = _kernels.cancel_fixpoint(list(gates), 64, 20)
+    stream = GateStream.from_gates(gates)
+    assert stream.with_rows(_cancel_to_fixpoint_pure(stream, 64, 20)).gates == seed
+    compiled = _kernels.cancel_fixpoint(stream, 64, 20)
     if compiled is not None:  # extension built and enabled
-        assert compiled == seed
+        assert stream.with_rows(compiled).gates == seed
 
 
 @pytest.mark.parametrize("name,depth,words", PROGRAMS)
@@ -87,8 +88,8 @@ def test_optimizers_on_unshared_gate_objects(optimizer, pure, monkeypatch):
     loaded = snapshot.load_bytes(snapshot.dump_bytes(circuit))
     assert loaded.gates == circuit.gates
     stream = GateStream.from_gates(loaded.gates)
-    assert len(stream.row_gates) == len(loaded.gates)  # one row per gate
-    assert len(GateStream.from_gates(circuit.gates).row_gates) < len(
+    assert stream.table.phase_base == len(loaded.gates)  # one row per gate
+    assert GateStream.from_gates(circuit.gates).table.phase_base < len(
         circuit.gates
     )
     expected = get_optimizer(optimizer).run(circuit).gates

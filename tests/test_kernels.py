@@ -97,12 +97,13 @@ def test_cancel_fixpoint_paths_identical(data, num_qubits):
     gates = data.draw(_gate_strategy(num_qubits, exotic=True))
     window = data.draw(st.sampled_from([1, 2, 4, 64]))
     max_passes = data.draw(st.sampled_from([1, 3, 20]))
-    pure = _cancel_to_fixpoint_pure(list(gates), window, max_passes)
+    stream = GateStream.from_gates(gates)
+    pure = _cancel_to_fixpoint_pure(stream, window, max_passes)
     seed = reference.cancel_to_fixpoint_seed(list(gates), window, max_passes)
-    assert pure == seed
-    compiled = _kernels.cancel_fixpoint(list(gates), window, max_passes)
+    assert stream.with_rows(pure).gates == seed
+    compiled = _kernels.cancel_fixpoint(stream, window, max_passes)
     if compiled is not None:  # extension built and enabled
-        assert compiled == seed
+        assert stream.with_rows(compiled).gates == seed
     dispatched = cancel_to_fixpoint(list(gates), window, max_passes)
     assert dispatched == seed
 
@@ -115,10 +116,11 @@ def test_cancel_respects_qubit_tuple_order():
     on both the compiled and the pure-Python path.
     """
     gates = [toffoli(1, 2, 3), toffoli(2, 1, 3)]
-    assert _cancel_to_fixpoint_pure(list(gates), 64, 20) == gates
-    compiled = _kernels.cancel_fixpoint(list(gates), 64, 20)
+    stream = GateStream.from_gates(gates)
+    assert stream.with_rows(_cancel_to_fixpoint_pure(stream, 64, 20)).gates == gates
+    compiled = _kernels.cancel_fixpoint(stream, 64, 20)
     if compiled is not None:
-        assert compiled == gates
+        assert stream.with_rows(compiled).gates == gates
     # same-order controls do annihilate
     pair = [toffoli(1, 2, 3), toffoli(1, 2, 3)]
     assert cancel_to_fixpoint(pair) == []
@@ -135,7 +137,7 @@ def test_fold_paths_identical(data, num_qubits):
     folded = fold_phases(circuit).gates
     assert folded == seed
     stream = GateStream.from_gates(gates, num_qubits)
-    assert _fold_stream_grouped(stream) == seed
+    assert stream.with_rows(_fold_stream_grouped(stream)).gates == seed
 
 
 @settings(max_examples=40, deadline=None)
@@ -236,8 +238,9 @@ def test_repro_no_ext_disables_extension():
         "from repro import _kernels\n"
         "assert not _kernels.extension_available()\n"
         "assert 'REPRO_NO_EXT' in _kernels.extension_status()\n"
-        "from repro.circuit import t, tdg\n"
-        "assert _kernels.cancel_fixpoint([t(0), tdg(0)], 64, 20) is None\n"
+        "from repro.circuit import GateStream, t, tdg\n"
+        "stream = GateStream.from_gates([t(0), tdg(0)])\n"
+        "assert _kernels.cancel_fixpoint(stream, 64, 20) is None\n"
         "from repro.circopt import cancel_to_fixpoint\n"
         "assert cancel_to_fixpoint([t(0), tdg(0)]) == []\n"
     )
@@ -258,8 +261,8 @@ def test_extension_status_reports_reason():
 
 def test_kernels_degenerate_inputs():
     """Empty streams and zero budgets return early on every path."""
-    assert _kernels.cancel_fixpoint([], 64, 20) is None
-    assert _kernels.cancel_fixpoint([t(0)], 64, 0) is None
+    assert _kernels.cancel_fixpoint(GateStream.from_gates([]), 64, 20) is None
+    assert _kernels.cancel_fixpoint(GateStream.from_gates([t(0)]), 64, 0) is None
     empty = GateStream.from_gates([], 1)
     keys = _kernels.fold_classify(empty)
     assert keys is None or len(keys) == 0
